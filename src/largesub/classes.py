@@ -102,13 +102,12 @@ def is_pi_group(G: FiniteGroup, pi) -> bool:
 
 
 def is_pi_separable(G: FiniteGroup, pi) -> bool:
-    """Every composition factor is a pi-group or a pi'-group."""
-    primes = _validate_pi(pi)
-    for F in composition_factors(G):
-        ps = set(prime_factors(F.order))
-        if not (ps <= set(primes) or not (ps & set(primes))):
-            return False
-    return True
+    """Every composition factor is a pi-group or a pi'-group.  A chief
+    factor is a power of a simple group with the same primes, so the chief
+    factor orders decide it without building any factor group."""
+    primes = set(_validate_pi(pi))
+    factor_primes = (set(prime_factors(o)) for o in chief_series(G).factor_orders)
+    return all(ps <= primes or ps.isdisjoint(primes) for ps in factor_primes)
 
 
 def has_normal_hall_pi_prime(G: FiniteGroup, pi) -> bool:

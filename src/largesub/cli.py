@@ -38,12 +38,10 @@ from .classes import (
 )
 from .corpus import dump_record, read_records
 from .errors import (
-    BadBound,
-    ClosureFlagsMissing,
     CorpusFormatError,
+    GroupError,
     HypothesisFailed,
     NotAGroup,
-    NotIsomorphism,
     NotSoluble,
     OrderCapExceeded,
     UnknownClass,
@@ -453,19 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        UnknownName,
-        UnknownClass,
-        NotAGroup,
-        NotIsomorphism,
-        OrderCapExceeded,
-        BadBound,
-        ClosureFlagsMissing,
-        OSError,
-    ) as exc:
+    except (GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,19 +4,25 @@ Each construction works off the complete normal subgroup list, which keeps
 it honest: a radical only exists because the relevant join stays in the
 class, and when a caller claims Fitting/formation behavior for a class
 that does not have it, the failure surfaces as a typed error carrying the
-two witnesses that break it.
+two witnesses that break it.  Cores and the supersoluble residual build
+no group; tests of class membership build induced groups or quotients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import ClassPredicate, builtin_class, is_quasisimple, is_soluble
+from .classes import ClassPredicate, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group, subgroup_as_group
-from .structure import derived_series, intersect, join, normal_subgroups, subnormal_subgroups
-
-import numpy as np
+from .structure import (
+    _is_prime,
+    derived_series,
+    intersect,
+    join,
+    normal_subgroups,
+    subnormal_subgroups,
+)
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,7 @@ def _induced(G: FiniteGroup, S: Subgroup) -> FiniteGroup:
     return subgroup_as_group(G, S)[0]
 
 
-def _largest_closed_candidate(G: FiniteGroup, candidates: list[Subgroup], what: str) -> Subgroup:
+def _largest_closed_candidate(candidates: list[Subgroup], what: str) -> Subgroup:
     # For genuinely join-closed families the largest candidate contains all
     # others; assert it rather than trust it.
     best = max(candidates, key=lambda N: N.order)
@@ -49,25 +55,27 @@ def pi_core(G: FiniteGroup, pi, *, _validated: bool = False) -> RadicalResult:
         pi = _validate_pi(pi)
     pi = tuple(pi)
     candidates = [N for N in normal_subgroups(G) if pi_part(N.order, pi) == N.order]
-    best = _largest_closed_candidate(G, candidates, f"normal {{{','.join(map(str, pi))}}}-subgroup")
+    best = _largest_closed_candidate(candidates, f"normal {{{','.join(map(str, pi))}}}-subgroup")
     return RadicalResult(
         best, f"largest of {len(candidates)} normal subgroups with order supported on {set(pi) or '{}'}"
     )
 
 
 def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
-    """Preimage in G of the pi-core of G modulo the pi'-core (the two-step
-    core used for separable groups)."""
+    """Preimage in G of the pi-core of G modulo the pi'-core K (the two-step
+    core used for separable groups), read off G: the largest normal M above
+    K whose index |M:K| is a pi-number."""
     from .classes import _validate_pi
 
     pi = _validate_pi(pi)
     complement = tuple(p for p in prime_factors(G.order) if p not in pi)
     below = pi_core(G, complement, _validated=True).subgroup
-    Q, proj = quotient_group(G, below)
-    upper = pi_core(Q, pi, _validated=True).subgroup
-    proj_arr = np.asarray(proj)
-    members = np.flatnonzero(np.isin(proj_arr, upper.as_array()))
-    sub = Subgroup(G, members)
+    candidates = [
+        M
+        for M in normal_subgroups(G)
+        if below <= M and pi_part(M.order // below.order, pi) == M.order // below.order
+    ]
+    sub = _largest_closed_candidate(candidates, "normal subgroup with pi-index over the pi'-core")
     return RadicalResult(
         sub,
         f"preimage of the {set(pi)}-core of the quotient by the {set(complement) or '{}'}-core",
@@ -137,7 +145,7 @@ def generalized_fitting_subgroup(G: FiniteGroup) -> RadicalResult:
 def soluble_radical(G: FiniteGroup) -> RadicalResult:
     """Largest normal soluble subgroup."""
     candidates = [N for N in normal_subgroups(G) if is_soluble(_induced(G, N))]
-    best = _largest_closed_candidate(G, candidates, "normal soluble subgroup")
+    best = _largest_closed_candidate(candidates, "normal soluble subgroup")
     return RadicalResult(best, f"largest of {len(candidates)} normal soluble subgroups")
 
 
@@ -205,9 +213,17 @@ def class_residual(G: FiniteGroup, X: ClassPredicate) -> Subgroup:
 
 
 def supersoluble_residual(G: FiniteGroup) -> Subgroup:
-    """Smallest normal subgroup with supersoluble quotient."""
-    cached = G._cache.get("supersoluble_residual")
-    if cached is None:
-        cached = class_residual(G, builtin_class("supersoluble"))
-        G._cache["supersoluble_residual"] = cached
-    return cached
+    """Smallest normal subgroup with supersoluble quotient (a kernel).  A
+    proper normal N is a kernel exactly when it has prime index in some
+    kernel, so walking the canonical list down from G finds every kernel.
+    That the smallest lies in all the others is asserted, not trusted."""
+    kernels: list[Subgroup] = []
+    for N in reversed(normal_subgroups(G)):
+        if N.is_whole or any(_is_prime(K.order // N.order) and N < K for K in kernels):
+            kernels.append(N)
+    for K in kernels:
+        if not kernels[-1] <= K:
+            raise NotAFormationWitness(
+                kernels[-1], K, "supersoluble kernels are not intersection-closed"
+            )
+    return kernels[-1]

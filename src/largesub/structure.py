@@ -1,14 +1,16 @@
 """Structural computations on table groups.
 
 Everything here is exhaustive: conjugacy classes come from full orbit
-sweeps, normal subgroups from a breadth-first walk over class unions, and
+sweeps, normal subgroups from products of normal closures of classes, and
 subnormal subgroups from iterating normality to a fixpoint.  Results are
 returned in a canonical order (by order, then by element tuple) so every
 run of every enumeration is reproducible.
 
-Expensive enumerations are memoized on the group instance; induced
-subgroup groups and quotients are memoized on their parent, so repeated
-series computations share work.
+The canonical normal-subgroup list is the one source for minimal and
+maximal normal subgroups, the socle, the chief series, the cores and the
+supersoluble residual; none of them builds a quotient.  Composition and
+subnormal series build induced groups, and composition factors quotients;
+both are memoized on their parent.
 """
 
 from __future__ import annotations
@@ -154,29 +156,25 @@ def intersect(first: Subgroup, second: Subgroup) -> Subgroup:
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every normal subgroup, found by breadth-first expansion: keep joining
-    known normal subgroups with one extra conjugacy class and closing.  A
-    closed union of classes is normal, and every normal subgroup arises this
-    way, so the sweep is exhaustive."""
+    """Every normal subgroup, in canonical order.  A normal subgroup is the
+    product of the normal closures of the classes it contains, so
+    multiplying every product found so far by each closure in turn (one
+    table gather per product NM) reaches all of them."""
     cached = G._cache.get("normal_subgroups")
     if cached is None:
         table = G.table
-        classes = conjugacy_classes(G)
-        seen = {(0,)}
-        queue = [(0,)]
-        while queue:
-            base = queue.pop()
-            base_arr = np.asarray(base, dtype=np.int64)
-            base_set = frozenset(base)
-            for cls in classes:
-                if cls[0] in base_set:
-                    continue  # classes never straddle a normal subgroup
-                grown = _close(table, base_arr, np.asarray(cls, dtype=np.int64))
-                key = tuple(int(v) for v in grown)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-        cached = [Subgroup(G, t) for t in sorted(seen, key=lambda t: (len(t), t))]
+        closures = {}
+        for cls in conjugacy_classes(G)[1:]:
+            C = normal_closure(G, cls[:1])
+            closures.setdefault(C.elements, (cls[0], C.as_array()))
+        found = {(0,)}
+        mask = np.zeros(G.order, dtype=bool)
+        for rep, C in closures.values():
+            for base in [N for N in found if rep not in N]:  # else C lies in N
+                mask[:] = False
+                mask[table[np.ix_(base, C)]] = True
+                found.add(tuple(np.flatnonzero(mask).tolist()))
+        cached = [Subgroup(G, t) for t in sorted(found, key=lambda t: (len(t), t))]
         G._cache["normal_subgroups"] = cached
     return cached
 
@@ -335,27 +333,19 @@ def composition_factors(G: FiniteGroup) -> list[FiniteGroup]:
 
 def chief_series(G: FiniteGroup) -> SeriesReport:
     """Ascending chain of normal subgroups of G whose factors are minimal
-    normal subgroups of the successive quotients.  Deterministic tie-break:
-    smallest pulled-back order, then least element tuple."""
-    cached = G._cache.get("chief_series")
-    if cached is not None:
-        return cached
-    chain = [G.trivial()]
-    while chain[-1].order < G.order:
-        Q, proj = quotient_group(G, chain[-1])
-        proj_arr = np.asarray(proj)
-        pulls = []
-        for M in minimal_normal_subgroups(Q):
-            members = np.flatnonzero(np.isin(proj_arr, M.as_array()))
-            pulls.append(Subgroup(G, members))
-        chain.append(min(pulls, key=lambda S: (S.order, S.elements)))
+    normal subgroups of the successive quotients.  Each term is the first
+    normal subgroup in canonical order strictly above the last: a cover of
+    least order, ties to the least element tuple."""
+    normals = normal_subgroups(G)
+    chain = [normals[0]]
+    for N in normals[1:]:
+        if chain[-1] < N:
+            chain.append(N)
     orders = tuple(chain[i + 1].order // chain[i].order for i in range(len(chain) - 1))
     tags = tuple(
         FactorTag(o, _is_prime(o), abelian=len(prime_factors(o)) <= 1) for o in orders
     )
-    report = SeriesReport("chief", tuple(chain), orders, tags)
-    G._cache["chief_series"] = report
-    return report
+    return SeriesReport("chief", tuple(chain), orders, tags)
 
 
 # -- subnormality ------------------------------------------------------------

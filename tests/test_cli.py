@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import largesub as ls
 import largesub.cli as cli
@@ -45,11 +47,16 @@ def test_parse_group_spec_central_requires_isomorphic_centers():
         "direct(cyclic(2),cyclic(3)",
         "central(cyclic(2)))",
         "nonsense(2)",
+        "cyclic(0)",
     ],
 )
-def test_parse_group_spec_rejects_bad_expressions(text):
+def test_parse_group_spec_rejects_bad_expressions(text, capsys):
     with pytest.raises(ls.UnknownName):
         cli.parse_group_spec(text)
+    code, out, err = run(capsys, "info", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- info -------------------------------------------------------------------------
@@ -343,3 +350,32 @@ def test_central_spec_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "info", "central(quaternion(8),cyclic(4))")
     assert code == 2
     assert "error:" in err
+
+
+# -- exit-code contract -------------------------------------------------------------
+
+_PARAM = st.integers(-2, 12)
+_ATOM = st.one_of(
+    st.sampled_from(["trivial", "klein_four"]),
+    st.builds(
+        "{}({})".format,
+        st.sampled_from(["cyclic", "dihedral", "quaternion", "symmetric", "alternating"]),
+        _PARAM,
+    ),
+    st.builds("sl({},{})".format, _PARAM, _PARAM),
+)
+_EXPR = st.one_of(
+    _ATOM,
+    st.builds("{}({},{})".format, st.sampled_from(["direct", "central"]), _ATOM, _ATOM),
+)
+_VERB = st.sampled_from([["info"]] + [["verify", "--claim", c] for c in "DEHB"])
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(expr=_EXPR, verb=_VERB)
+def test_main_exit_code_contract(capsys, expr, verb):
+    code, _, err = run(capsys, *verb, expr)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
