@@ -161,8 +161,6 @@ def _dispatch(base: str, args: tuple[int, ...], cap) -> FiniteGroup:
         return klein_four_group(cap=cap)
     if base == "cyclic":
         arity(1)
-        if args[0] < 1:
-            raise UnknownName(f"cyclic order must be >= 1, got {args[0]}")
         return cyclic_group(args[0], cap=cap)
     if base == "dihedral":
         arity(1)

@@ -23,8 +23,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CorpusFormatError
-from .groups import FiniteGroup, from_multiplication_table, from_permutation_generators
+from .groups import (
+    FiniteGroup,
+    _check_cap,
+    from_multiplication_table,
+    from_permutation_generators,
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +43,12 @@ class CorpusRecord:
 
     def build(self, *, cap=None) -> FiniteGroup:
         """Construct the group; semantic failures propagate as NotAGroup or
-        OrderCapExceeded."""
+        OrderCapExceeded.  A table record's declared order is checked
+        against the cap before any array is built."""
         if self.kind == "table":
             n = self.data["order"]
-            flat = self.data["table"]
-            table = [flat[i * n : (i + 1) * n] for i in range(n)]
+            _check_cap(n, cap)
+            table = np.asarray(self.data["table"]).reshape(n, n)
             return from_multiplication_table(table, name=self.name, cap=cap)
         return from_permutation_generators(
             self.data["generators"], name=self.name, cap=cap
@@ -69,10 +77,12 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
         _expect(
             name is None or isinstance(name, str), "name must be a string", line_no
         )
+        # integers are tested with `type(v) is int`: JSON true/false load as
+        # bool, a subclass of int, and are not integers here
         if kind == "table":
             order = data.get("order")
             _expect(
-                isinstance(order, int) and order >= 1,
+                type(order) is int and order >= 1,
                 "table record needs a positive integer order",
                 line_no,
             )
@@ -83,14 +93,14 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
                 line_no,
             )
             _expect(
-                all(isinstance(v, int) for v in table),
+                all(type(v) is int for v in table),
                 "table entries must be integers",
                 line_no,
             )
         else:
             degree = data.get("degree")
             _expect(
-                isinstance(degree, int) and degree >= 1,
+                type(degree) is int and degree >= 1,
                 "perm record needs a positive integer degree",
                 line_no,
             )
@@ -104,7 +114,7 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
                 _expect(
                     isinstance(g, list)
                     and len(g) == degree
-                    and all(isinstance(v, int) for v in g),
+                    and all(type(v) is int for v in g),
                     f"each generator must be a list of {degree} integers",
                     line_no,
                 )

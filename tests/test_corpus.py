@@ -66,6 +66,11 @@ def test_perm_record_builds():
         ('{"kind":"perm","degree":0,"generators":[[0]]}', "positive integer degree"),
         ('{"kind":"perm","degree":3,"generators":[]}', "nonempty generator list"),
         ('{"kind":"perm","degree":3,"generators":[[1,0]]}', "list of 3 integers"),
+        # JSON booleans load as Python bools, a subclass of int
+        ('{"kind":"table","order":true,"table":[false]}', "positive integer order"),
+        ('{"kind":"table","order":1,"table":[false]}', "entries must be integers"),
+        ('{"kind":"perm","degree":true,"generators":[[0]]}', "positive integer degree"),
+        ('{"kind":"perm","degree":2,"generators":[[true,false]]}', "list of 2 integers"),
     ],
 )
 def test_malformed_records(line, fragment):
@@ -88,6 +93,11 @@ def test_semantic_failures_surface_as_not_a_group():
     rec = next(iter_records([json.dumps(bad)]))
     with pytest.raises(ls.NotAGroup):
         rec.build()
+    # an entry too large for any index, let alone a 64-bit one
+    huge = {"kind": "table", "order": 1, "table": [10**30]}
+    rec = next(iter_records([json.dumps(huge)]))
+    with pytest.raises(ls.NotAGroup):
+        rec.build()
     # well-formed perm record whose images are not permutations
     dup = {"kind": "perm", "degree": 3, "generators": [[0, 0, 1]]}
     rec = next(iter_records([json.dumps(dup)]))
@@ -105,6 +115,19 @@ def test_build_respects_cap():
     with pytest.raises(ls.OrderCapExceeded):
         rec.build(cap=60)
     assert rec.build(cap=120).order == 120
+
+
+def test_table_build_checks_declared_order_before_building():
+    # the flat list is far too short for order 5: only the cap check, which
+    # reads the declared order, can have raised
+    rec = CorpusRecord(kind="table", name=None, line_no=1, data={"order": 5, "table": [0]})
+    with pytest.raises(ls.OrderCapExceeded) as info:
+        rec.build(cap=4)
+    assert (info.value.order, info.value.cap) == (5, 4)
+    rec = next(iter_records([dump_record(ls.cyclic_group(5))]))
+    with pytest.raises(ls.OrderCapExceeded):
+        rec.build(cap=4)
+    assert rec.build(cap=5).order == 5
 
 
 def test_record_for_group_is_flat_row_major():

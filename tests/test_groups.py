@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 import largesub as ls
 import oracles
+from largesub.groups import _light_generators
 
 # order-5 loop: Latin, identity at 0, every element self-inverse, but not
 # associative; the first failing triple is (1,1,2)
@@ -33,7 +36,7 @@ def test_identity_is_index_zero_everywhere(small_zoo):
 
 
 def test_validate_axioms_on_trusted_constructions(small_zoo):
-    # combinators skip the cubic associativity check, so audit them here
+    # combinators skip the associativity check, so audit them here
     for G in small_zoo:
         ls.validate_axioms(G)
 
@@ -55,6 +58,78 @@ def test_from_table_rejects_nonassociative_loop():
     with pytest.raises(ls.NotAGroup) as info:
         ls.from_multiplication_table(LOOP5)
     assert info.value.witness == (1, 1, 2)
+
+
+def _random_loop(rng, n):
+    # a Latin square with identity 0 and two-sided inverses (x*y == 0
+    # exactly when y*x == 0), filled cell by cell in row-major order with
+    # shuffled candidates, backtracking on dead ends
+    table = [[i if r == 0 else (r if i == 0 else None) for i in range(n)] for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(table[r][:c]) | {table[i][c] for i in range(r)}
+        choices = [v for v in range(n) if v not in used]
+        if c < r:
+            choices = [v for v in choices if (v == 0) == (table[c][r] == 0)]
+        rng.shuffle(choices)
+        for v in choices:
+            table[r][c] = v
+            if fill(k + 1):
+                return True
+        table[r][c] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def _times_c2(table):
+    # L x C2 with the C2 coordinate fastest: index 1 is central and
+    # associates with everything, so a check that stopped at the first
+    # generator would pass any non-associative L
+    m = 2 * len(table)
+    return [[2 * table[a // 2][b // 2] + (a % 2 ^ b % 2) for b in range(m)] for a in range(m)]
+
+
+def _first_nonassociative_triple(table):
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def test_validate_axioms_matches_exhaustive_scan_on_random_loops():
+    rng = random.Random(20240611)
+    accepted = rejected = 0
+    for case in range(420):
+        loop = _random_loop(rng, 2 + case % 7)
+        for table in (loop, _times_c2(loop)) if len(loop) in (5, 6) else (loop,):
+            n = len(table)
+            assert len(_light_generators(np.asarray(table))) <= n.bit_length() - 1
+            G = ls.FiniteGroup(table, trusted=True)
+            if oracles.is_associative(table):
+                ls.validate_axioms(G)
+                accepted += 1
+            else:
+                with pytest.raises(ls.NotAGroup) as info:
+                    ls.validate_axioms(G)
+                assert info.value.witness == _first_nonassociative_triple(table)
+                rejected += 1
+    assert accepted >= 100 and rejected >= 100
+
+
+def test_light_generator_count_is_logarithmic(small_zoo):
+    for G in small_zoo:
+        gens = _light_generators(G.table)
+        assert len(gens) <= G.order.bit_length()  # floor(log2 n) + 1
+        assert G.closure_of(gens).is_whole
 
 
 def test_from_table_rejects_broken_rows():
@@ -120,6 +195,16 @@ def test_subgroup_wrapping(s4):
     assert s4.trivial() < V4
     with pytest.raises(ls.NotClosed):
         s4.subgroup([0, 1, 2])
+
+
+def test_bad_parameters_raise_group_errors():
+    for n in (0, -3):
+        with pytest.raises(ls.UnknownName):
+            ls.cyclic_group(n)
+    C3 = ls.cyclic_group(3)
+    for seed in ([3], [-1], [0, 1, 7]):
+        with pytest.raises(ls.UnknownName):
+            C3.closure_of(seed)
 
 
 def test_subgroup_requires_identity_and_lagrange(s4):
