@@ -18,15 +18,16 @@ import numpy as np
 from .errors import ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, pi_part, prime_factors
 from .structure import (
-    center,
+    _as_subgroup,
+    centralizer,
     chief_series,
     commutator_subgroup,
     composition_factors,
     derived_series,
-    is_simple,
+    intersect,
     lower_central_series,
     minimal_normal_subgroups,
-    quotient_group,
+    normal_subgroups,
 )
 
 
@@ -57,7 +58,8 @@ def is_abelian(G: FiniteGroup) -> bool:
 def nilpotency_class(G: FiniteGroup) -> int | None:
     """Length of the lower central series, or None when it never reaches the
     trivial subgroup.  The trivial group has class 0, a nontrivial abelian
-    group class 1.  Compare against None, not truthiness."""
+    group class 1.  Compare against None, not truthiness.  Takes a group or
+    a subgroup, like the series."""
     series = lower_central_series(G)
     if not series.last.is_trivial:
         return None
@@ -66,7 +68,8 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
 
 def derived_length(G: FiniteGroup) -> int | None:
     """Number of derived steps down to the trivial subgroup, or None for an
-    insoluble group.  Trivial group: 0, nontrivial abelian: 1."""
+    insoluble group.  Trivial group: 0, nontrivial abelian: 1.  Takes a
+    group or a subgroup, like the series."""
     series = derived_series(G)
     if not series.last.is_trivial:
         return None
@@ -74,10 +77,12 @@ def derived_length(G: FiniteGroup) -> int | None:
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
+    """Takes a group or a subgroup."""
     return nilpotency_class(G) is not None
 
 
 def is_soluble(G: FiniteGroup) -> bool:
+    """Takes a group or a subgroup."""
     return derived_length(G) is not None
 
 
@@ -91,6 +96,10 @@ def _validate_pi(pi) -> tuple[int, ...]:
     if not primes:
         raise ValueError("the prime set must be nonempty")
     for p in primes:
+        # no table group has an order near 2**31, and the bound keeps the
+        # trial division in prime_factors short
+        if p >= 2**31:
+            raise ValueError(f"{p} is out of range for a prime parameter (below 2**31)")
         if prime_factors(p) != (p,):
             raise ValueError(f"{p} is not prime")
     return primes
@@ -124,14 +133,16 @@ def has_normal_hall_pi_prime(G: FiniteGroup, pi) -> bool:
     return core.subgroup.order == target
 
 
-def is_quasisimple(G: FiniteGroup) -> bool:
-    """Perfect and simple modulo the center (and nontrivial)."""
-    if G.order == 1:
+def is_quasisimple(x) -> bool:
+    """Perfect and simple modulo the center; takes a group or a subgroup H.
+    H/Z(H) is simple exactly when two normal subgroups of H contain Z(H)
+    (Z(H) and H itself), so no quotient is built."""
+    H = _as_subgroup(x)
+    G = H.parent
+    if commutator_subgroup(G, H, H) != H:
         return False
-    if not commutator_subgroup(G, G.whole(), G.whole()).is_whole:
-        return False
-    Q, _ = quotient_group(G, center(G))
-    return is_simple(Q)
+    Z = intersect(centralizer(G, H), H)
+    return sum(1 for N in normal_subgroups(H) if Z <= N) == 2
 
 
 def is_quasinilpotent(G: FiniteGroup) -> bool:

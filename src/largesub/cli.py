@@ -50,7 +50,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     abelian_isomorphism,
-    central_product,
+    central_product_with_embeddings,
     direct_product,
     subgroup_as_group,
 )
@@ -124,7 +124,7 @@ def _central_of_centers(A: FiniteGroup, B: FiniteGroup, *, cap=None) -> FiniteGr
     name = None
     if A.name and B.name:
         name = f"central({A.name},{B.name})"
-    return central_product(A, B, pairing, name=name, cap=cap)
+    return central_product_with_embeddings(A, B, pairing, name=name, cap=cap)[0]
 
 
 def _load_corpus(path) -> list[FiniteGroup]:

@@ -68,14 +68,19 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
             continue
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no) from exc
+        except (ValueError, RecursionError) as exc:  # also overlong integers, deep nesting
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise CorpusFormatError(f"invalid JSON ({msg})", line_no) from exc
         _expect(isinstance(data, dict), "record must be a JSON object", line_no)
         kind = data.get("kind")
         _expect(kind in ("table", "perm"), f"unknown record kind {kind!r}", line_no)
         name = data.get("name")
+        # a lone surrogate ("\ud800" in JSON) is a str that stdout cannot print
         _expect(
-            name is None or isinstance(name, str), "name must be a string", line_no
+            name is None
+            or (isinstance(name, str) and name == name.encode("utf-8", "replace").decode()),
+            "name must be a string of Unicode characters",
+            line_no,
         )
         # integers are tested with `type(v) is int`: JSON true/false load as
         # bool, a subclass of int, and are not integers here
@@ -123,7 +128,10 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
 
 def read_records(path) -> list[CorpusRecord]:
     with open(Path(path), "r", encoding="utf-8") as fh:
-        return list(iter_records(fh))
+        try:
+            return list(iter_records(fh))
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"corpus file is not UTF-8 text ({exc.reason})") from exc
 
 
 def read_corpus(path, *, cap=None) -> list[FiniteGroup]:

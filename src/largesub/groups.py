@@ -412,17 +412,27 @@ def _normalize_identity(table: np.ndarray, labels):
 
 
 def from_multiplication_table(table, *, name=None, labels=None, cap=None) -> FiniteGroup:
-    """Build a group from an untrusted n x n table (entries in 0..n-1).
+    """Build a group from an untrusted n x n table of integers in 0..n-1
+    (floats, strings and booleans are refused, not converted).
 
     The identity may sit anywhere; elements are relabeled so it lands at
     index 0.  The full axiom check runs, with NotAGroup witnesses on failure.
     """
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except OverflowError:
-        raise NotAGroup("table entries must fit in 64-bit integers") from None
+    arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotAGroup("table must be a nonempty square matrix")
+    # refused, not converted: int64 conversion would truncate floats, parse
+    # strings and read booleans as 0 and 1
+    integers = arr.dtype.kind in "iu" or (
+        arr.dtype == object
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat)
+    )
+    if not integers:
+        raise NotAGroup("table entries must be integers")
+    try:
+        arr = arr.astype(np.int64, copy=False)
+    except OverflowError:
+        raise NotAGroup("table entries must fit in 64-bit integers") from None
     n = arr.shape[0]
     _check_cap(n, cap)
     if arr.min() < 0 or arr.max() >= n:
@@ -537,6 +547,7 @@ def central_product_with_embeddings(
 
     Returns (group, embed_G, embed_H): the quotient of G x H by the twisted
     diagonal of the pairing, plus the two index maps embedding G and H.
+    G x H itself is built, so the order cap applies to |G|*|H|.
     """
     pairing = {int(k): int(v) for k, v in pairing.items()}
     pairing.setdefault(0, 0)
@@ -557,9 +568,7 @@ def central_product_with_embeddings(
                 raise NotIsomorphism(
                     f"pairing breaks multiplication at ({a}, {b})"
                 )
-    n = G.order * H.order // len(dom)
-    _check_cap(n, cap)
-    P = direct_product(G, H, cap=G.order * H.order)
+    P = direct_product(G, H, cap=cap)
     nh = H.order
     diag = [z * nh + H.inv(pairing[z]) for z in dom]
     N = Subgroup(P, diag)
@@ -571,10 +580,6 @@ def central_product_with_embeddings(
     embed_g = tuple(int(proj[g * nh]) for g in range(G.order))
     embed_h = tuple(int(proj[h]) for h in range(H.order))
     return Q, embed_g, embed_h
-
-
-def central_product(G: FiniteGroup, H: FiniteGroup, pairing: dict, *, name=None, cap=None) -> FiniteGroup:
-    return central_product_with_embeddings(G, H, pairing, name=name, cap=cap)[0]
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup):

@@ -4,8 +4,12 @@ Each construction works off the complete normal subgroup list, which keeps
 it honest: a radical only exists because the relevant join stays in the
 class, and when a caller claims Fitting/formation behavior for a class
 that does not have it, the failure surfaces as a typed error carrying the
-two witnesses that break it.  Cores and the supersoluble residual build
-no group; tests of class membership build induced groups or quotients.
+two witnesses that break it.  Cores, the supersoluble residual, the
+soluble radical and the components build no group: they work on the
+parent's table, through the structure functions that take subgroups.
+Only the generic constructions over a ClassPredicate (class_radical,
+maximal_normal_members, class_residual) build induced groups or
+quotients, because a predicate's member test takes a group.
 """
 
 from __future__ import annotations
@@ -105,15 +109,7 @@ def components(G: FiniteGroup) -> list[Subgroup]:
     cached = G._cache.get("components")
     if cached is None:
         core = derived_series(G).last
-        if core.is_trivial:
-            cached = []
-        else:
-            P, back = subgroup_as_group(G, core)
-            cached = [
-                G.subgroup(back[t] for t in T.elements)
-                for T in subnormal_subgroups(P)
-                if is_quasisimple(_induced(P, T))
-            ]
+        cached = [T for T in subnormal_subgroups(core) if is_quasisimple(T)]
         G._cache["components"] = cached
     return cached
 
@@ -144,7 +140,7 @@ def generalized_fitting_subgroup(G: FiniteGroup) -> RadicalResult:
 
 def soluble_radical(G: FiniteGroup) -> RadicalResult:
     """Largest normal soluble subgroup."""
-    candidates = [N for N in normal_subgroups(G) if is_soluble(_induced(G, N))]
+    candidates = [N for N in normal_subgroups(G) if is_soluble(N)]
     best = _largest_closed_candidate(candidates, "normal soluble subgroup")
     return RadicalResult(best, f"largest of {len(candidates)} normal soluble subgroups")
 

@@ -8,9 +8,10 @@ run of every enumeration is reproducible.
 
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
-supersoluble residual; none of them builds a quotient.  Composition and
-subnormal series build induced groups, and composition factors quotients;
-both are memoized on their parent.
+supersoluble residual; none of them builds a quotient.  The normal
+structure functions and the series take a group or a Subgroup H of it and
+work on the parent's table, memoizing H's results on the parent.  Only the
+composition factors build groups: induced groups and their quotients.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import NotAbelian, TrivialGroup
 from .groups import (
+    _EMPTY,
     FiniteGroup,
     Subgroup,
     _close,
@@ -45,33 +47,49 @@ def _elements_array(G: FiniteGroup, elements) -> np.ndarray:
 # -- conjugation ------------------------------------------------------------
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes as sorted tuples, ordered by least member (the
-    identity class comes first)."""
-    cached = G._cache.get("conjugacy_classes")
+def _as_subgroup(x) -> Subgroup:
+    if isinstance(x, FiniteGroup):
+        return x.whole()
+    if isinstance(x, Subgroup):
+        return x
+    raise TypeError(f"expected a group or subgroup, got {type(x).__name__}")
+
+
+def _memoized(x, name, compute):
+    """compute(H) for the group or subgroup x, memoized on the parent.  The
+    whole group keys its entry by name alone, found without building
+    G.whole(); a proper subgroup H keys it by (name, H.elements)."""
+    if isinstance(x, FiniteGroup):
+        G, key = x, name
+    else:
+        H = _as_subgroup(x)
+        G, key = H.parent, (name if H.is_whole else (name, H.elements))
+    cached = G._cache.get(key)
     if cached is None:
-        table, inv = G.table, G.inverses
-        seen = np.zeros(G.order, dtype=bool)
-        cached = []
-        for x in range(G.order):
-            if seen[x]:
-                continue
-            orbit = np.unique(table[table[:, x], inv])
-            seen[orbit] = True
-            cached.append(tuple(int(v) for v in orbit))
-        G._cache["conjugacy_classes"] = cached
+        cached = G._cache[key] = compute(_as_subgroup(x))
     return cached
 
 
-def class_ids(G: FiniteGroup) -> np.ndarray:
-    ids = G._cache.get("class_ids")
-    if ids is None:
-        ids = np.empty(G.order, dtype=np.int64)
-        for i, cls in enumerate(conjugacy_classes(G)):
-            ids[list(cls)] = i
-        ids.setflags(write=False)
-        G._cache["class_ids"] = ids
-    return ids
+def conjugacy_classes(x) -> list[tuple[int, ...]]:
+    """Conjugacy classes of a group, or of a subgroup H under conjugation
+    by H, as sorted tuples of parent indices ordered by least member (the
+    identity class comes first)."""
+    return _memoized(x, "conjugacy_classes", _classes)
+
+
+def _classes(H: Subgroup) -> list[tuple[int, ...]]:
+    G = H.parent
+    table, hs = G.table, H.as_array()
+    inv_hs = G.inverses[hs]
+    seen = np.zeros(G.order, dtype=bool)
+    out = []
+    for x in H.elements:
+        if seen[x]:
+            continue
+        orbit = np.unique(table[table[hs, x], inv_hs])
+        seen[orbit] = True
+        out.append(tuple(int(v) for v in orbit))
+    return out
 
 
 # -- closures, centralizers, commutators ------------------------------------
@@ -128,16 +146,15 @@ def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
     return Subgroup(G, _close(table, np.empty(0, dtype=np.int64), comms))
 
 
-def normal_closure(G: FiniteGroup, seed) -> Subgroup:
-    """Smallest normal subgroup containing the seed: close the union of the
-    seed's conjugacy classes under multiplication."""
-    ids = class_ids(G)
-    classes = conjugacy_classes(G)
-    wanted = sorted(set(int(ids[int(e)]) for e in _elements_array(G, seed)))
-    members = [e for i in wanted for e in classes[i]]
-    return Subgroup(
-        G, _close(G.table, np.empty(0, dtype=np.int64), np.asarray(members, dtype=np.int64))
-    )
+def normal_closure(x, seed) -> Subgroup:
+    """Smallest normal subgroup of the group or subgroup x containing the
+    seed (which must lie in x): close all x-conjugates of the seed under
+    multiplication."""
+    H = _as_subgroup(x)
+    G, hs = H.parent, H.as_array()
+    seed = _elements_array(G, seed)
+    conj = G.table[G.table[np.ix_(hs, seed)], G.inverses[hs][:, None]]
+    return Subgroup(G, _close(G.table, _EMPTY, np.unique(conj)))
 
 
 def join(first: Subgroup, second: Subgroup) -> Subgroup:
@@ -155,56 +172,63 @@ def intersect(first: Subgroup, second: Subgroup) -> Subgroup:
 # -- normal subgroup enumeration --------------------------------------------
 
 
-def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every normal subgroup, in canonical order.  A normal subgroup is the
-    product of the normal closures of the classes it contains, so
-    multiplying every product found so far by each closure in turn (one
-    table gather per product NM) reaches all of them."""
-    cached = G._cache.get("normal_subgroups")
-    if cached is None:
-        table = G.table
-        closures = {}
-        for cls in conjugacy_classes(G)[1:]:
-            C = normal_closure(G, cls[:1])
-            closures.setdefault(C.elements, (cls[0], C.as_array()))
-        found = {(0,)}
-        mask = np.zeros(G.order, dtype=bool)
-        for rep, C in closures.values():
-            for base in [N for N in found if rep not in N]:  # else C lies in N
-                mask[:] = False
-                mask[table[np.ix_(base, C)]] = True
-                found.add(tuple(np.flatnonzero(mask).tolist()))
-        cached = [Subgroup(G, t) for t in sorted(found, key=lambda t: (len(t), t))]
-        G._cache["normal_subgroups"] = cached
-    return cached
+def normal_subgroups(x) -> list[Subgroup]:
+    """Every normal subgroup of a group, or of a subgroup H (normal in H),
+    in canonical order.  A normal subgroup is the product of the normal
+    closures of the classes it contains, so multiplying every product
+    found so far by each closure in turn (one table gather per product NM)
+    reaches all of them."""
+    return _memoized(x, "normal_subgroups", _normals)
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    if G.order == 1:
+def _normals(H: Subgroup) -> list[Subgroup]:
+    G = H.parent
+    table = G.table
+    closures = {}
+    for cls in conjugacy_classes(H)[1:]:
+        C = _close(table, _EMPTY, np.asarray(cls, dtype=np.int64))
+        closures.setdefault(tuple(C.tolist()), (cls[0], C))
+    found = {(0,)}
+    mask = np.zeros(G.order, dtype=bool)
+    for rep, C in closures.values():
+        for base in [N for N in found if rep not in N]:  # else C lies in N
+            mask[:] = False
+            mask[table[np.ix_(base, C)]] = True
+            found.add(tuple(np.flatnonzero(mask).tolist()))
+    return [Subgroup(G, t) for t in sorted(found, key=lambda t: (len(t), t))]
+
+
+def minimal_normal_subgroups(x) -> list[Subgroup]:
+    """Minimal normal subgroups of a group or a subgroup."""
+    if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
-    nontrivial = [N for N in normal_subgroups(G) if not N.is_trivial]
+    nontrivial = normal_subgroups(x)[1:]
     return [N for N in nontrivial if not any(M < N for M in nontrivial)]
 
 
-def maximal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    if G.order == 1:
+def maximal_normal_subgroups(x) -> list[Subgroup]:
+    """Maximal normal subgroups of a group or a subgroup."""
+    H = _as_subgroup(x)
+    if H.is_trivial:
         raise TrivialGroup("the trivial group has no maximal normal subgroups")
-    proper = [N for N in normal_subgroups(G) if not N.is_whole]
+    proper = normal_subgroups(H)[:-1]
     return [N for N in proper if not any(N < M for M in proper)]
 
 
-def socle(G: FiniteGroup) -> Subgroup:
-    """Join of all minimal normal subgroups (trivial for the trivial group)."""
-    if G.order == 1:
-        return G.trivial()
-    result = G.trivial()
-    for N in minimal_normal_subgroups(G):
+def socle(x) -> Subgroup:
+    """Join of all minimal normal subgroups of a group or a subgroup
+    (trivial for the trivial group)."""
+    H = _as_subgroup(x)
+    result = H.parent.trivial()
+    for N in minimal_normal_subgroups(H) if H.order > 1 else ():
         result = join(result, N)
     return result
 
 
-def is_simple(G: FiniteGroup) -> bool:
-    return G.order > 1 and len(normal_subgroups(G)) == 2
+def is_simple(x) -> bool:
+    """Exactly two normal subgroups, itself and the trivial one (so
+    nontrivial); takes a group or a subgroup."""
+    return len(normal_subgroups(x)) == 2
 
 
 # -- series -----------------------------------------------------------------
@@ -244,14 +268,6 @@ class SeriesReport:
         return len(self.factor_orders)
 
 
-def _as_subgroup(x) -> Subgroup:
-    if isinstance(x, FiniteGroup):
-        return x.whole()
-    if isinstance(x, Subgroup):
-        return x
-    raise TypeError(f"expected a group or subgroup, got {type(x).__name__}")
-
-
 def derived_series(x) -> SeriesReport:
     """Repeated commutator subgroups until stable; ends at the trivial
     subgroup exactly for soluble inputs."""
@@ -284,26 +300,17 @@ def lower_central_series(x) -> SeriesReport:
     return SeriesReport("lower_central", tuple(chain), orders, tags)
 
 
-def maximal_normals_within(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
-    """Maximal normal subgroups of the group carried by S, as subgroups of
-    the ambient parent."""
-    H, back = subgroup_as_group(G, S)
-    out = []
-    for M in maximal_normal_subgroups(H):
-        out.append(Subgroup(G, tuple(back[i] for i in M.elements)))
-    return sorted(out, key=lambda N: (-N.order, N.elements))
-
-
-def composition_series(G: FiniteGroup, *, rng=None) -> SeriesReport:
-    """A maximal-normal chain from G down to the trivial subgroup.
+def composition_series(x, *, rng=None) -> SeriesReport:
+    """A maximal-normal chain from a group or subgroup down to the trivial
+    subgroup.
 
     Deterministic tie-break: at each step take the maximal normal subgroup
     of largest order, least element tuple.  Passing an rng instead picks one
     of the candidates at random (useful for invariance testing).
     """
-    chain = [G.whole()]
+    chain = [_as_subgroup(x)]
     while chain[-1].order > 1:
-        cands = maximal_normals_within(G, chain[-1])
+        cands = sorted(maximal_normal_subgroups(chain[-1]), key=lambda N: (-N.order, N.elements))
         if rng is None:
             chain.append(cands[0])
         else:
@@ -331,12 +338,12 @@ def composition_factors(G: FiniteGroup) -> list[FiniteGroup]:
     return cached
 
 
-def chief_series(G: FiniteGroup) -> SeriesReport:
-    """Ascending chain of normal subgroups of G whose factors are minimal
-    normal subgroups of the successive quotients.  Each term is the first
-    normal subgroup in canonical order strictly above the last: a cover of
-    least order, ties to the least element tuple."""
-    normals = normal_subgroups(G)
+def chief_series(x) -> SeriesReport:
+    """Ascending chain of normal subgroups of a group or subgroup whose
+    factors are minimal normal subgroups of the successive quotients.  Each
+    term is the first normal subgroup in canonical order strictly above the
+    last: a cover of least order, ties to the least element tuple."""
+    normals = normal_subgroups(x)
     chain = [normals[0]]
     for N in normals[1:]:
         if chain[-1] < N:
@@ -351,28 +358,26 @@ def chief_series(G: FiniteGroup) -> SeriesReport:
 # -- subnormality ------------------------------------------------------------
 
 
-def subnormal_subgroups(G: FiniteGroup, *, max_depth: int | None = None) -> list[Subgroup]:
+def subnormal_subgroups(x, *, max_depth: int | None = None) -> list[Subgroup]:
     """Fixpoint of "normal subgroup of something already collected",
-    starting from G itself; every member therefore carries a normal chain
-    witnessing subnormality.  max_depth bounds the chain length."""
-    cache_key = ("subnormal", max_depth)
-    cached = G._cache.get(cache_key)
-    if cached is None:
-        seen = {G.whole().elements}
-        queue = [(G.whole().elements, 0)]
-        while queue:
-            elems, depth = queue.pop()
-            if max_depth is not None and depth >= max_depth:
-                continue
-            H, back = subgroup_as_group(G, Subgroup(G, elems))
-            for N in normal_subgroups(H):
-                mapped = tuple(back[i] for i in N.elements)
-                if mapped not in seen:
-                    seen.add(mapped)
-                    queue.append((mapped, depth + 1))
-        cached = [Subgroup(G, t) for t in sorted(seen, key=lambda t: (len(t), t))]
-        G._cache[cache_key] = cached
-    return cached
+    starting from the group or subgroup x itself; every member therefore
+    carries a normal chain witnessing subnormality in x.  max_depth bounds
+    the chain length."""
+    return _memoized(x, ("subnormal", max_depth), lambda H: _subnormals(H, max_depth))
+
+
+def _subnormals(H: Subgroup, max_depth: int | None) -> list[Subgroup]:
+    seen = {H.elements: H}
+    queue = [(H, 0)]
+    while queue:
+        K, depth = queue.pop()
+        if max_depth is not None and depth >= max_depth:
+            continue
+        for N in normal_subgroups(K):
+            if N.elements not in seen:
+                seen[N.elements] = N
+                queue.append((N, depth + 1))
+    return [seen[t] for t in sorted(seen, key=lambda t: (len(t), t))]
 
 
 # -- abelian frattini --------------------------------------------------------

@@ -62,6 +62,9 @@ def test_pi_validation(s4):
         ls.is_pi_group(s4, [4])
     with pytest.raises(ValueError):
         ls.is_pi_separable(s4, [1])
+    # refused by range before any trial division (this one is prime)
+    with pytest.raises(ValueError, match="out of range"):
+        ls.is_pi_group(s4, [1000000000000000003])
 
 
 def test_quasisimple(a5, sl23):

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import largesub as ls
@@ -375,7 +375,147 @@ _VERB = st.sampled_from([["info"]] + [["verify", "--claim", c] for c in "DEHB"])
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(expr=_EXPR, verb=_VERB)
+# claim B built the 59049-element G x cover before checking the cap
+@example(expr="direct(cyclic(9),cyclic(9))", verb=["verify", "--claim", "B"])
 def test_main_exit_code_contract(capsys, expr, verb):
     code, _, err = run(capsys, *verb, expr)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def _exit_code(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refusing the arguments: usage line, exit 2
+        code = exc.code
+    out, err = capsys.readouterr()
+    out.encode("utf-8")  # a real stdout refuses what capsys takes, e.g. lone surrogates
+    return code, err
+
+
+_SMALL_ATOM = st.one_of(
+    st.sampled_from(["trivial", "klein_four", "sl(2,3)"]),
+    st.builds(
+        "{}({})".format,
+        st.sampled_from(["cyclic", "dihedral", "quaternion", "symmetric", "alternating"]),
+        st.integers(-1, 5),
+    ),
+)
+_SMALL_EXPR = st.one_of(_SMALL_ATOM, st.builds("direct({},{})".format, _SMALL_ATOM, _SMALL_ATOM))
+_HUGE = st.sampled_from([2**31 - 1, 10**18 + 3, 10**30])  # two primes, one not
+_INT = st.one_of(st.integers(-3, 6), _HUGE)
+_PRIMES = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 40), _HUGE), max_size=3).map(
+        lambda ps: ",".join(map(str, ps))
+    ),
+    st.sampled_from(["x", "2,,3", " 2", "2;3"]),
+)
+_CLASS_KEY = st.one_of(
+    st.sampled_from(
+        ["abelian", "nilpotent", "soluble", "supersoluble", "quasinilpotent", "", "bogus"]
+    ),
+    st.builds("{}:{}".format, st.sampled_from(["nilpotent_class", "soluble_derived"]), _INT),
+    st.builds("{}:{}".format, st.sampled_from(["pi_separable", "normal_hall_pi_prime"]), _PRIMES),
+)
+# every selector, in its compact form and with its flag, parameters drawn
+_SELECTOR = st.one_of(
+    st.sampled_from([["--theorem", c] for c in "D E H B A C F G GD Z".split()]),
+    st.builds(lambda h, k: ["--theorem", f"{h}:{k}"], st.sampled_from("AC"), _CLASS_KEY),
+    st.builds(lambda h, k: ["--theorem", h, "--class-key", k], st.sampled_from("AC"), _CLASS_KEY),
+    st.builds(lambda p: ["--theorem", f"F:{p}"], _PRIMES),
+    st.builds(lambda p: ["--theorem", "F", "--pi", p], _PRIMES),
+    st.builds(lambda h, k: ["--theorem", f"{h}:{k}"], st.sampled_from(["G", "GD"]), _INT),
+    st.builds(lambda k: ["--theorem", "G", "--c", str(k)], _INT),
+    st.builds(lambda k: ["--theorem", "GD", "--d", str(k)], _INT),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(expr=_SMALL_EXPR, selector=_SELECTOR)
+@example(expr="cyclic(2)", selector=["--theorem", f"F:{10**18 + 3}"])  # was minutes of trial division
+def test_verify_selectors_keep_exit_code_contract(capsys, expr, selector):
+    code, err = _exit_code(capsys, ["verify", *selector, expr])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_ODD = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(width=16),
+    st.text(max_size=2),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+)
+
+
+# st.text never draws lone surrogates, which JSON can still carry
+_NAME = st.one_of(st.none(), st.text(max_size=3), st.sampled_from(["\ud800", "s\udfff"]), st.integers())
+
+
+@st.composite
+def _table_line(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.integers(-1, n), _ODD)
+    record = {
+        "kind": "table",
+        "name": draw(_NAME),
+        "order": draw(st.one_of(st.just(n), st.integers(-1, 5), _ODD)),  # may be wrong
+        "table": draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+    }
+    return json.dumps(record)
+
+
+@st.composite
+def _perm_line(draw):
+    d = draw(st.integers(1, 4))
+    image = st.one_of(st.integers(0, d - 1), st.integers(-1, d), _ODD)
+    record = {
+        "kind": "perm",
+        "degree": draw(st.one_of(st.just(d), _ODD)),
+        "generators": draw(st.lists(st.lists(image, min_size=d, max_size=d), max_size=2)),
+    }
+    return json.dumps(record)
+
+
+_GOOD_LINES = [
+    dump_record(G)
+    for G in (ls.cyclic_group(2), ls.symmetric_group(3), ls.alternating_group(4))
+]
+_LINE = st.one_of(
+    _table_line(),
+    _perm_line(),
+    st.sampled_from(_GOOD_LINES + ["", "# comment", '{"kind":"magma"}', "{broken", "[]"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+_FILE_VERB = st.one_of(
+    st.just(["scan"]),
+    st.just(["corpus-check"]),
+    _SELECTOR.map(lambda sel: ["verify", *sel]),
+)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    lines=st.lists(_LINE, min_size=1, max_size=4),
+    verb=_FILE_VERB,
+    raw=st.one_of(st.just(b""), st.binary(min_size=1, max_size=4)),
+)
+# each of these once ended in a traceback: a name stdout cannot print, an
+# integer too long for json, nesting too deep for it, bytes that are not UTF-8
+@example(['{"kind":"table","name":"\\ud800","order":1,"table":[0]}'], ["corpus-check"], b"")
+@example(['{"kind":"table","order":1,"table":[' + "9" * 5000 + "]}"], ["scan"], b"")
+@example(["[" * 100000 + "]" * 100000], ["corpus-check"], b"")
+@example(_GOOD_LINES[:1], ["scan"], b"\xff")
+def test_corpus_files_keep_exit_code_contract(capsys, tmp_path, lines, verb, raw):
+    path = tmp_path / "drawn.jsonl"
+    # drawn bytes, if any, go last and are usually not UTF-8
+    path.write_bytes("\n".join(lines).encode() + b"\n" + raw)
+    code, err = _exit_code(capsys, [*verb, str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err

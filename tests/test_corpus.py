@@ -59,6 +59,7 @@ def test_perm_record_builds():
         ("[1,2,3]", "JSON object"),
         ('{"kind":"magma"}', "unknown record kind"),
         ('{"kind":"table","name":3,"order":1,"table":[0]}', "name must be a string"),
+        ('{"kind":"table","name":"\\ud800","order":1,"table":[0]}', "name must be a string"),
         ('{"kind":"table","order":0,"table":[]}', "positive integer order"),
         ('{"kind":"table","order":"2","table":[0,1,1,0]}', "positive integer order"),
         ('{"kind":"table","order":2,"table":[0,1,1]}', "flat list of 2*2"),
@@ -77,6 +78,16 @@ def test_malformed_records(line, fragment):
     with pytest.raises(ls.CorpusFormatError) as info:
         list(iter_records([line]))
     assert fragment in str(info.value)
+
+
+def test_unreadable_json_is_a_format_error():
+    # json.loads raises plain ValueError on overlong integers and
+    # RecursionError on deep nesting, not only JSONDecodeError
+    overlong = '{"kind":"table","order":1,"table":[' + "9" * 5000 + "]}"
+    deep = "[" * 100000 + "]" * 100000
+    for line in (overlong, deep):
+        with pytest.raises(ls.CorpusFormatError, match="invalid JSON"):
+            list(iter_records([line]))
 
 
 def test_format_error_carries_line_number():

@@ -2,7 +2,15 @@
 residual are read off the canonical normal-subgroup list without building
 any quotient.  Each is checked here against the quotient-group definition
 it replaced, which the library keeps for user predicates
-(class_residual, composition_factors, quotient_group)."""
+(class_residual, composition_factors, quotient_group).
+
+The normal structure of a subgroup S (classes, normal subgroups, minimal
+and maximal normals, simplicity, quasi-simplicity) and the composition
+series are computed on the parent's table.  They are checked against the
+same functions on the induced group subgroup_as_group(G, S), mapped back,
+and quasi-simplicity against its quotient-by-center definition."""
+
+import random
 
 import pytest
 
@@ -64,3 +72,56 @@ def test_trivial_group_readings():
     for pi in PRIME_SETS:
         assert ls.is_pi_separable(G, pi)
         assert ls.pi_prime_pi_core(G, pi).subgroup == G.trivial()
+
+
+def _fresh(G):
+    # a copy with empty caches, so the induced groups a test builds go with it
+    return ls.FiniteGroup(G.table, name=G.name, trusted=True)
+
+
+def _lift(back, subgroups, G):
+    return [ls.Subgroup(G, [back[i] for i in T]) for T in subgroups]
+
+
+def _quasisimple_by_quotient(H):
+    # perfect, and simple modulo the center (the quotient-group definition)
+    if H.order == 1 or ls.commutator_subgroup(H, H.whole(), H.whole()) != H.whole():
+        return False
+    return ls.is_simple(ls.quotient_group(H, ls.center(H))[0])
+
+
+def test_subnormal_structure_matches_induced_groups(groups):
+    for G in map(_fresh, groups):
+        for S in ls.subnormal_subgroups(G):
+            H, back = ls.subgroup_as_group(G, S)
+            where = (G.display_name, S.elements)
+            assert ls.conjugacy_classes(S) == [
+                tuple(back[i] for i in c) for c in ls.conjugacy_classes(H)
+            ], where
+            assert ls.normal_subgroups(S) == _lift(back, ls.normal_subgroups(H), G), where
+            if S.order > 1:
+                for f in (ls.maximal_normal_subgroups, ls.minimal_normal_subgroups):
+                    assert f(S) == _lift(back, f(H), G), (where, f.__name__)
+            assert ls.socle(S) == _lift(back, [ls.socle(H)], G)[0], where
+            assert ls.is_simple(S) == ls.is_simple(H), where
+            assert ls.is_quasisimple(S) == _quasisimple_by_quotient(H), where
+
+
+def _composition_chain_by_induced_groups(G, rng=None):
+    # the recursion composition_series used to make: the maximal normal
+    # subgroups of each term, found in the induced group and mapped back
+    chain = [G.whole()]
+    while chain[-1].order > 1:
+        H, back = ls.subgroup_as_group(G, chain[-1])
+        cands = sorted(
+            _lift(back, ls.maximal_normal_subgroups(H), G), key=lambda N: (-N.order, N.elements)
+        )
+        chain.append(cands[0] if rng is None else cands[rng.randrange(len(cands))])
+    return tuple(chain)
+
+
+def test_composition_series_matches_induced_recursion(groups):
+    for i, G in enumerate(map(_fresh, groups)):
+        assert ls.composition_series(G).chain == _composition_chain_by_induced_groups(G)
+        seeded = ls.composition_series(G, rng=random.Random(i)).chain
+        assert seeded == _composition_chain_by_induced_groups(G, random.Random(i)), G.display_name

@@ -141,6 +141,33 @@ def test_from_table_rejects_broken_rows():
         ls.from_multiplication_table([[0, 1, 2], [1, 2, 0]])
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1, 0.7]],  # int64 conversion would truncate 0.7 to 0
+        [[0.0]],
+        [["0"]],  # ... and parse the string
+        [[0, "1"], ["1", 0]],
+        [[True]],  # ... and read booleans as 0 and 1
+        [[0, True], [True, 0]],
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False]]),
+    ],
+)
+def test_from_table_rejects_non_integer_entries(table):
+    with pytest.raises(ls.NotAGroup, match="must be integers"):
+        ls.from_multiplication_table(table)
+
+
+def test_from_table_accepts_integer_types():
+    assert ls.from_multiplication_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)).order == 2
+    assert ls.from_multiplication_table([[np.int64(0)]]).order == 1
+    with pytest.raises(ls.NotAGroup, match="64-bit"):
+        ls.from_multiplication_table([[10**30]])
+    with pytest.raises(ls.NotAGroup, match="square"):
+        ls.from_multiplication_table([[0, 1], [1]])
+
+
 def test_validate_axioms_catches_tampering():
     class Tampered:
         def __init__(self, table):
