@@ -19,6 +19,7 @@ from .errors import ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
+    _memoized,
     centralizer,
     chief_series,
     commutator_subgroup,
@@ -59,21 +60,21 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
     """Length of the lower central series, or None when it never reaches the
     trivial subgroup.  The trivial group has class 0, a nontrivial abelian
     group class 1.  Compare against None, not truthiness.  Takes a group or
-    a subgroup, like the series."""
-    series = lower_central_series(G)
-    if not series.last.is_trivial:
-        return None
-    return len(series.chain) - 1
+    a subgroup, like the series; the result is memoized on the parent."""
+    return _memoized(G, "nilpotency_class", lambda H: _length(lower_central_series(H)))
 
 
 def derived_length(G: FiniteGroup) -> int | None:
     """Number of derived steps down to the trivial subgroup, or None for an
     insoluble group.  Trivial group: 0, nontrivial abelian: 1.  Takes a
-    group or a subgroup, like the series."""
-    series = derived_series(G)
-    if not series.last.is_trivial:
-        return None
-    return len(series.chain) - 1
+    group or a subgroup, like the series; the result is memoized on the
+    parent."""
+    return _memoized(G, "derived_length", lambda H: _length(derived_series(H)))
+
+
+def _length(series) -> int | None:
+    # steps down to the trivial subgroup; None if the series stops above it
+    return len(series.chain) - 1 if series.last.is_trivial else None
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

@@ -86,14 +86,9 @@ def _close(table: np.ndarray, base: np.ndarray, frontier: np.ndarray) -> np.ndar
     mask[frontier] = True
     while frontier.size:
         members = np.flatnonzero(mask)
-        prods = np.concatenate(
-            [
-                table[np.ix_(members, frontier)].ravel(),
-                table[np.ix_(frontier, members)].ravel(),
-            ]
-        )
         new_mask = np.zeros(n, dtype=bool)
-        new_mask[prods] = True
+        new_mask[table[members[:, None], frontier]] = True
+        new_mask[table[frontier[:, None], members]] = True
         new_mask &= ~mask
         mask |= new_mask
         frontier = np.flatnonzero(new_mask)
@@ -113,6 +108,8 @@ class FiniteGroup:
     __slots__ = ("order", "name", "labels", "_table", "_inv", "_cache")
 
     def __init__(self, table, *, name: str | None = None, labels=None, trusted: bool = False):
+        if not trusted:
+            table = _integer_table(table)
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("table must be square")
@@ -393,6 +390,33 @@ def validate_axioms(G: FiniteGroup) -> None:
 # -- constructors -----------------------------------------------------------
 
 
+def _integer_table(table, limit: int | None = None) -> np.ndarray:
+    # The untrusted table as int64, after checking on the values as given
+    # that it is a nonempty square matrix of integers in 0..n-1 (and, with a
+    # limit, that n is within it).  Floats, strings and booleans are
+    # refused, not converted: a cast would truncate floats, parse strings,
+    # read booleans as 0 and 1 and wrap integers beyond the target width.
+    arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise NotAGroup("table must be a nonempty square matrix")
+    integers = arr.dtype.kind in "iu" or (
+        arr.dtype == object
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat)
+    )
+    if not integers:
+        raise NotAGroup("table entries must be integers")
+    try:
+        arr = arr.astype(np.int64, copy=False)
+    except OverflowError:
+        raise NotAGroup("table entries must fit in 64-bit integers") from None
+    n = arr.shape[0]
+    if limit is not None and n > limit:
+        raise OrderCapExceeded(n, limit)
+    if arr.min() < 0 or arr.max() >= n:
+        raise NotAGroup(f"table entries must lie in 0..{n - 1}")
+    return arr
+
+
 def _normalize_identity(table: np.ndarray, labels):
     n = table.shape[0]
     idx = np.arange(n)
@@ -418,26 +442,7 @@ def from_multiplication_table(table, *, name=None, labels=None, cap=None) -> Fin
     The identity may sit anywhere; elements are relabeled so it lands at
     index 0.  The full axiom check runs, with NotAGroup witnesses on failure.
     """
-    arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise NotAGroup("table must be a nonempty square matrix")
-    # refused, not converted: int64 conversion would truncate floats, parse
-    # strings and read booleans as 0 and 1
-    integers = arr.dtype.kind in "iu" or (
-        arr.dtype == object
-        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat)
-    )
-    if not integers:
-        raise NotAGroup("table entries must be integers")
-    try:
-        arr = arr.astype(np.int64, copy=False)
-    except OverflowError:
-        raise NotAGroup("table entries must fit in 64-bit integers") from None
-    n = arr.shape[0]
-    _check_cap(n, cap)
-    if arr.min() < 0 or arr.max() >= n:
-        raise NotAGroup(f"table entries must lie in 0..{n - 1}")
-    arr, labels = _normalize_identity(arr, labels)
+    arr, labels = _normalize_identity(_integer_table(table, order_cap(cap)), labels)
     return FiniteGroup(arr, name=name, labels=labels, trusted=False)
 
 

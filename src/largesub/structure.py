@@ -6,6 +6,13 @@ subnormal subgroups from iterating normality to a fixpoint.  Results are
 returned in a canonical order (by order, then by element tuple) so every
 run of every enumeration is reproducible.
 
+Normal subgroups are enumerated on class bitmasks: a normal subgroup is a
+union of classes, held as a Python int with bit j set for the j-th class.
+One table gather per distinct class closure C records, for each class, the
+classes met by its representative times C; the product of a normal
+subgroup N with C is then the OR of those bitmasks over the classes of N,
+and only the final list is turned back into element tuples.
+
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  The normal
@@ -64,10 +71,9 @@ def _memoized(x, name, compute):
     else:
         H = _as_subgroup(x)
         G, key = H.parent, (name if H.is_whole else (name, H.elements))
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = G._cache[key] = compute(_as_subgroup(x))
-    return cached
+    if key not in G._cache:  # None is a result too (not nilpotent, not soluble)
+        G._cache[key] = compute(_as_subgroup(x))
+    return G._cache[key]
 
 
 def conjugacy_classes(x) -> list[tuple[int, ...]]:
@@ -104,11 +110,13 @@ def generating_subset(G: FiniteGroup, elements) -> list[int]:
     """A (greedy, usually small) subset generating the same subgroup."""
     gens: list[int] = []
     span = np.asarray([0], dtype=np.int64)
-    for e in _elements_array(G, elements):
-        e = int(e)
-        if not np.isin(e, span):
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    for e in _elements_array(G, elements).tolist():
+        if not inside[e]:
             gens.append(e)
             span = _close(G.table, span, np.asarray([e], dtype=np.int64))
+            inside[span] = True
     return gens
 
 
@@ -140,9 +148,7 @@ def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
     a = _elements_array(G, first)
     b = _elements_array(G, second)
     table, inv = G.table, G.inverses
-    left = table[np.ix_(inv[a], inv[b])].ravel()
-    right = table[np.ix_(a, b)].ravel()
-    comms = np.unique(table[left, right])
+    comms = np.unique(table[table[inv[a][:, None], inv[b]], table[a[:, None], b]])
     return Subgroup(G, _close(table, np.empty(0, dtype=np.int64), comms))
 
 
@@ -153,7 +159,7 @@ def normal_closure(x, seed) -> Subgroup:
     H = _as_subgroup(x)
     G, hs = H.parent, H.as_array()
     seed = _elements_array(G, seed)
-    conj = G.table[G.table[np.ix_(hs, seed)], G.inverses[hs][:, None]]
+    conj = G.table[G.table[hs[:, None], seed], G.inverses[hs][:, None]]
     return Subgroup(G, _close(G.table, _EMPTY, np.unique(conj)))
 
 
@@ -174,28 +180,56 @@ def intersect(first: Subgroup, second: Subgroup) -> Subgroup:
 
 def normal_subgroups(x) -> list[Subgroup]:
     """Every normal subgroup of a group, or of a subgroup H (normal in H),
-    in canonical order.  A normal subgroup is the product of the normal
-    closures of the classes it contains, so multiplying every product
-    found so far by each closure in turn (one table gather per product NM)
-    reaches all of them."""
+    in canonical order.
+
+    A normal subgroup is the product of the normal closures of the
+    H-classes it contains, so multiplying every product found so far by
+    each closure in turn reaches all of them.  The products are taken on
+    class bitmasks (bit j for the j-th class of conjugacy_classes(H)): for
+    a closure C, the classes of N*C are the classes of rep_j*C over the
+    classes j of N, since x*C for x in class j is a conjugate of rep_j*C.
+    So one k x |C| table gather per distinct closure gives the bitmask of
+    each rep_j*C, and each product N*C is an OR of those ints."""
     return _memoized(x, "normal_subgroups", _normals)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _normals(H: Subgroup) -> list[Subgroup]:
     G = H.parent
     table = G.table
+    classes = conjugacy_classes(H)
+    k = len(classes)
+    reps = np.asarray([c[0] for c in classes], dtype=np.int64)
+    class_of = np.zeros(G.order, dtype=np.int64)
+    for j, cls in enumerate(classes):
+        class_of[list(cls)] = j
+    # for each distinct closure C: the first class j with closure C, and
+    # rows, where rows[i] is the class bitmask of rep_i * C
     closures = {}
-    for cls in conjugacy_classes(H)[1:]:
+    for j, cls in enumerate(classes[1:], 1):
         C = _close(table, _EMPTY, np.asarray(cls, dtype=np.int64))
-        closures.setdefault(tuple(C.tolist()), (cls[0], C))
-    found = {(0,)}
-    mask = np.zeros(G.order, dtype=bool)
-    for rep, C in closures.values():
-        for base in [N for N in found if rep not in N]:  # else C lies in N
-            mask[:] = False
-            mask[table[np.ix_(base, C)]] = True
-            found.add(tuple(np.flatnonzero(mask).tolist()))
-    return [Subgroup(G, t) for t in sorted(found, key=lambda t: (len(t), t))]
+        key = C.tobytes()
+        if key in closures:
+            continue
+        hit = np.zeros((k, k), dtype=bool)
+        hit[np.arange(k)[:, None], class_of[table[reps[:, None], C]]] = True
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        closures[key] = (j, [int.from_bytes(row.tobytes(), "little") for row in packed])
+    found = {1}  # the trivial subgroup: class 0 alone
+    for j, rows in closures.values():
+        for N in [N for N in found if not N >> j & 1]:  # else C lies in N
+            product = 0
+            for i in _bits(N):
+                product |= rows[i]
+            found.add(product)
+    members = [tuple(sorted(x for i in _bits(N) for x in classes[i])) for N in found]
+    return [Subgroup(G, t) for t in sorted(members, key=lambda t: (len(t), t))]
 
 
 def minimal_normal_subgroups(x) -> list[Subgroup]:

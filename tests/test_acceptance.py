@@ -316,3 +316,51 @@ def test_10_property_sweeps(corpus, capsys):
             f" closure {time.monotonic() - comps_done:.0f}s,"
             " 0 violations"
         )
+
+
+# the built-in classes whose flags allow both claim A and claim C
+ASSEMBLY_CLASS_KEYS = (
+    "nilpotent",
+    "soluble",
+    "supersoluble",
+    "quasinilpotent",
+    "pi_separable:2",
+    "pi_separable:2,3",
+    "normal_hall_pi_prime:2",
+    "normal_hall_pi_prime:2,3",
+)
+
+
+def test_11_maximal_class_members_large_in_assembled_groups(corpus, capsys):
+    with _Line(capsys, 11, "claims A and C never fail corpus-wide, and skip exactly the groups not assembled from the class") as line:
+        t0 = time.monotonic()
+        # A simple group is quasinilpotent; it lies in any other class above
+        # exactly when it has prime order.  A nonabelian simple group has
+        # even order and at least three prime divisors, so it is neither a
+        # {2}- nor a {2,3}-group, nor a 2'-group: it is not pi-separable and
+        # has no normal Hall pi'-subgroup for pi = {2} or {2,3}.
+        soluble = {
+            G.display_name: all(
+                ls.prime_factors(o) == (o,) for o in ls.composition_series(G).factor_orders
+            )
+            for G in corpus
+        }
+        passed = skipped = 0
+        for key in ASSEMBLY_CLASS_KEYS:
+            X = ls.builtin_class(key)
+            flags = X.closed_under
+            assert flags.normal_subgroups and flags.quotients and flags.direct_products
+            assert flags.central_extensions and flags.solubly_saturated_formation, key
+            for verify in (ls.verify_maximal_member_large, ls.verify_formation_member_large):
+                for G in corpus:
+                    report = verify(G, X)
+                    assembled = key == "quasinilpotent" or soluble[G.display_name]
+                    assert report.outcome == ("pass" if assembled else "skip"), (
+                        key, G.display_name, report.to_dict()
+                    )
+                    passed += report.outcome == "pass"
+                    skipped += report.outcome == "skip"
+        elapsed = time.monotonic() - t0
+        line.detail = f"{passed} pass, {skipped} skip, {elapsed:.1f}s"
+        assert skipped > 0
+        assert elapsed < 120.0

@@ -1,8 +1,11 @@
 """Class predicates, their parameters and their closure declarations."""
 
+import collections
+
 import pytest
 
 import largesub as ls
+from largesub import classes
 
 
 def test_abelian():
@@ -28,6 +31,54 @@ def test_derived_length_values(s4, sl23, a5):
     assert ls.derived_length(s4) == 3
     assert ls.derived_length(sl23) == 3
     assert ls.derived_length(a5) is None
+
+
+def _steps_to_trivial(series):
+    return len(series.chain) - 1 if series.last.is_trivial else None
+
+
+def _count_series_calls(monkeypatch):
+    """Count the series that nilpotency_class and derived_length compute."""
+    calls = collections.Counter()
+    for name in ("lower_central_series", "derived_series"):
+        real = getattr(classes, name)
+
+        def counting(x, real=real, name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(classes, name, counting)
+    return calls
+
+
+def test_invariants_memoized_per_subgroup(small_zoo, corpus, monkeypatch):
+    calls = _count_series_calls(monkeypatch)
+    for G in list(small_zoo) + corpus[::8]:
+        targets = [G]
+        for N in ls.normal_subgroups(G):
+            targets += [N, ls.subgroup_as_group(G, N)[0]]
+        for x in targets:
+            # the unpatched series, recomputed on every call
+            assert ls.nilpotency_class(x) == _steps_to_trivial(ls.lower_central_series(x))
+            assert ls.derived_length(x) == _steps_to_trivial(ls.derived_series(x))
+        calls.clear()
+        for x in targets:
+            ls.nilpotency_class(x)
+            ls.derived_length(x)
+        assert not calls, G.display_name
+
+
+def test_invariants_memoize_none(monkeypatch):
+    calls = _count_series_calls(monkeypatch)
+    a5 = ls.alternating_group(5)
+    assert ls.nilpotency_class(a5) is None
+    assert ls.derived_length(a5) is None
+    assert calls == {"lower_central_series": 1, "derived_series": 1}
+    calls.clear()
+    assert ls.nilpotency_class(a5) is None
+    assert ls.derived_length(a5) is None
+    assert not ls.is_soluble(a5.whole())
+    assert not calls
 
 
 def test_nilpotent_soluble_supersoluble(s4, a4, a5):

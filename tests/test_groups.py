@@ -168,6 +168,19 @@ def test_from_table_accepts_integer_types():
         ls.from_multiplication_table([[0, 1], [1]])
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1, 0.7]],  # an int32 cast would truncate 0.7 to 0
+        np.array([[0, 2**32 + 1], [2**32 + 1, 0]]),  # ... and wrap 2**32 + 1 to 1
+        [["0"]],  # ... and parse the string
+    ],
+)
+def test_validating_constructor_checks_entries_before_casting(table):
+    with pytest.raises(ls.NotAGroup):
+        ls.FiniteGroup(table)
+
+
 def test_validate_axioms_catches_tampering():
     class Tampered:
         def __init__(self, table):

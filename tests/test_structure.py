@@ -73,6 +73,19 @@ def test_normal_subgroups_match_oracle(small_zoo):
         assert got == want, G.display_name
 
 
+def test_normal_subgroups_match_oracle_on_corpus(corpus):
+    # every corpus group with few enough classes for the powerset oracle
+    checked = 0
+    for G in corpus:
+        if len(ls.conjugacy_classes(G)) > 14:
+            continue
+        got = [N.elements for N in ls.normal_subgroups(G)]
+        want = sorted(oracles.normal_subgroups(_rows(G)), key=lambda t: (len(t), t))
+        assert got == [tuple(t) for t in want], G.display_name
+        checked += 1
+    assert checked == 62
+
+
 def test_normal_subgroup_orders_frozen(s4, a4, sl23, a4xa4):
     assert sorted(N.order for N in ls.normal_subgroups(s4)) == [1, 4, 12, 24]
     assert sorted(N.order for N in ls.normal_subgroups(a4)) == [1, 4, 12]
