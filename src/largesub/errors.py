@@ -55,7 +55,9 @@ class NotAbelian(GroupError):
 
 
 class NotSoluble(GroupError):
-    pass
+    """Raised by has_minimal_supersoluble_residual on a group that is not
+    soluble.  No claim raises it: a claim records a failed solubility
+    hypothesis as ("soluble", False) in its report."""
 
 
 class TrivialGroup(GroupError):
@@ -79,6 +81,10 @@ class BadClassBound(BadBound):
 
 
 class HypothesisFailed(GroupError):
+    """A claim's hypothesis failed.  No claim raises it any more: each
+    records the failed hypothesis in its report.  Kept for callers that
+    still catch it."""
+
     def __init__(self, hypothesis, message=None):
         super().__init__(message or f"hypothesis failed: {hypothesis}")
         self.hypothesis = hypothesis

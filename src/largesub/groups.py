@@ -103,6 +103,8 @@ class FiniteGroup:
 
     table[a, b] is the index of the product a*b; index 0 is the identity.
     Optional labels name the elements for display; name labels the group.
+    The identity and inverses are always checked; trusted=True, for tables
+    built from groups, skips the Latin and associativity checks.
     """
 
     __slots__ = ("order", "name", "labels", "_table", "_inv", "_cache")
@@ -128,8 +130,8 @@ class FiniteGroup:
         table.setflags(write=False)
         self._table = table
         self._inv = _identity_and_inverses(table)
-        _latin_check(table)
         if not trusted:
+            _latin_check(table)
             _associativity_check(table)
         self._cache: dict = {}
 

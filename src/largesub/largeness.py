@@ -26,10 +26,15 @@ Claim selectors (used by the CLI and verify_selector):
               subgroup is identified with the frattini subgroup of an
               abelian cover inside a central product
 
-Hypothesis handling: membership-style hypotheses (A/C's assembly condition,
-H's residual condition) are *reported* so corpus scans can aggregate them;
-hard preconditions (solubility for D/G/GD/H, separability for F, bad
-bounds) raise typed errors which the CLI converts into skips.
+Hypothesis handling: every claim records each hypothesis it evaluates as a
+(name, holds) pair in its report.  When one fails the claim returns the
+report without witnesses, which reads as a skip, so a library caller, the
+CLI and a corpus scan all see the same report.  H alone goes on when only
+its residual condition fails, and records its witnesses anyway.  Only
+unusable input raises, before any hypothesis is evaluated: an unknown
+selector or class key, a bound below 2 (BadBound, BadClassBound), a class
+without the closure flags the claim needs (ClosureFlagsMissing) or a bad
+prime set.
 """
 
 from __future__ import annotations
@@ -48,10 +53,8 @@ from .errors import (
     BadBound,
     BadClassBound,
     ClosureFlagsMissing,
-    HypothesisFailed,
     NotCentral,
     NotNormal,
-    NotSoluble,
     TrivialGroup,
     UnknownClass,
 )
@@ -106,9 +109,13 @@ class WitnessRecord:
 class VerificationReport:
     """Outcome of one claim on one group.
 
+    hypotheses lists the hypotheses the claim evaluated, in order, as
+    (name, holds).  A failed hypothesis is recorded here, never raised, and
+    the report then has no witnesses, except H's when only its residual
+    condition fails.
     passed means: every hypothesis held and every witness was large.
     counterexample is set exactly when the hypotheses held but a witness
-    failed; hypothesis failures alone read as a skip (see outcome).
+    failed; a failed hypothesis reads as a skip (see outcome).
     """
 
     theorem: str
@@ -167,6 +174,12 @@ def _finish(report: VerificationReport) -> VerificationReport:
     else:
         report.passed = False
         report.counterexample = None
+    return report
+
+
+def _soluble_report(theorem: str, G: FiniteGroup) -> VerificationReport:
+    report = VerificationReport(theorem, G.display_name, G.order)
+    report.hypotheses.append(("soluble", is_soluble(G)))
     return report
 
 
@@ -240,10 +253,9 @@ def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> Verifica
 
 def verify_fitting_large(G: FiniteGroup) -> VerificationReport:
     """Claim D: the fitting subgroup of a soluble group is large."""
-    if not is_soluble(G):
-        raise HypothesisFailed("soluble", f"{G.display_name} is not soluble")
-    report = VerificationReport("D", G.display_name, G.order)
-    report.hypotheses.append(("soluble", True))
+    report = _soluble_report("D", G)
+    if not report.hypotheses_ok:
+        return _finish(report)
     fit = fitting_subgroup(G)
     report.witnesses.append(_witness(G, fit.subgroup, f"fitting subgroup ({fit.witness})"))
     return _finish(report)
@@ -260,11 +272,15 @@ def verify_generalized_fitting_large(G: FiniteGroup) -> VerificationReport:
 
 
 def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
-    """Claim F: the two-step core of a pi-separable group is large."""
-    if not is_pi_separable(G, pi):
-        raise HypothesisFailed("pi_separable", f"{G.display_name} is not separable for {set(pi)}")
-    primes = tuple(sorted(set(int(p) for p in pi)))
+    """Claim F: the two-step core of a pi-separable group is large.
+
+    The hypothesis is named separable_for_<primes> when it holds and
+    pi_separable when it fails."""
     report = VerificationReport("F", G.display_name, G.order)
+    if not is_pi_separable(G, pi):
+        report.hypotheses.append(("pi_separable", False))
+        return _finish(report)
+    primes = tuple(sorted(set(int(p) for p in pi)))
     report.hypotheses.append((f"separable_for_{','.join(map(str, primes))}", True))
     core = pi_prime_pi_core(G, primes)
     report.witnesses.append(_witness(G, core.subgroup, f"two-step core ({core.witness})"))
@@ -279,10 +295,9 @@ def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationRe
     class <= c are large (needs c >= 2)."""
     if c < 2:
         raise BadClassBound(f"the class bound must be at least 2, got {c}")
-    if not is_soluble(G):
-        raise NotSoluble(f"{G.display_name} is not soluble")
-    report = VerificationReport("G", G.display_name, G.order)
-    report.hypotheses.append(("soluble", True))
+    report = _soluble_report("G", G)
+    if not report.hypotheses_ok:
+        return _finish(report)
     X = builtin_class(f"nilpotent_class:{c}")
     for S in maximal_normal_members(G, X):
         report.witnesses.append(
@@ -296,10 +311,9 @@ def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationRep
     length <= d are large (needs d >= 2)."""
     if d < 2:
         raise BadBound(f"the derived length bound must be at least 2, got {d}")
-    if not is_soluble(G):
-        raise NotSoluble(f"{G.display_name} is not soluble")
-    report = VerificationReport("GD", G.display_name, G.order)
-    report.hypotheses.append(("soluble", True))
+    report = _soluble_report("GD", G)
+    if not report.hypotheses_ok:
+        return _finish(report)
     X = builtin_class(f"soluble_derived:{d}")
     for S in maximal_normal_members(G, X):
         report.witnesses.append(
@@ -317,10 +331,9 @@ def verify_maximal_abelian_large(G: FiniteGroup) -> VerificationReport:
 
     The witnesses are recorded even when the residual hypothesis fails, so
     scans can look for groups where the conclusion holds anyway."""
-    if not is_soluble(G):
-        raise NotSoluble(f"{G.display_name} is not soluble")
-    report = VerificationReport("H", G.display_name, G.order)
-    report.hypotheses.append(("soluble", True))
+    report = _soluble_report("H", G)
+    if not report.hypotheses_ok:
+        return _finish(report)
     report.hypotheses.append(
         ("supersoluble_residual_minimal_or_trivial", has_minimal_supersoluble_residual(G))
     )

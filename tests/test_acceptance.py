@@ -102,9 +102,10 @@ def test_04_two_step_core_large_in_separable_groups(corpus, capsys):
         passed = skipped = 0
         for G in corpus:
             for pi in ((2,), (3,), (2, 3)):
-                try:
-                    report = ls.verify_two_step_core_large(G, pi)
-                except ls.HypothesisFailed:
+                report = ls.verify_two_step_core_large(G, pi)
+                if report.outcome == "skip":
+                    assert report.hypotheses == [("pi_separable", False)]
+                    assert report.witnesses == [] and report.counterexample is None
                     skipped += 1
                     continue
                 assert report.passed, (G.display_name, pi, report.to_dict())

@@ -145,6 +145,18 @@ def test_verify_separability_skip(capsys):
     assert "pi_separable" in out
 
 
+def test_verify_skip_names_the_theorem_without_spaces(capsys):
+    # a space before ':' in the selector is not part of the theorem name
+    code, out, _ = run(capsys, "verify", "--claim", "G :2", "alternating(5)")
+    assert code == 0
+    assert "[SKIP] G alternating(5) order 60: hypothesis failed: soluble" in out
+    code, out, _ = run(
+        capsys, "verify", "--claim", "G :2", "alternating(5)", "--format", "jsonl"
+    )
+    assert code == 0
+    assert '"theorem":"G"' in out
+
+
 def test_verify_jsonl_reports(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorem", "E", "direct(alternating(5),symmetric(4))",

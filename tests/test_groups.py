@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import largesub as ls
+import largesub.groups as groups
 import oracles
 from largesub.groups import _light_generators
 
@@ -36,9 +37,25 @@ def test_identity_is_index_zero_everywhere(small_zoo):
 
 
 def test_validate_axioms_on_trusted_constructions(small_zoo):
-    # combinators skip the associativity check, so audit them here
+    # combinators skip the Latin and associativity checks, so audit them here
     for G in small_zoo:
         ls.validate_axioms(G)
+
+
+def test_latin_check_runs_only_on_untrusted_tables(monkeypatch):
+    # a fresh group, so no induced group or quotient is served from a cache
+    s4 = ls.FiniteGroup(ls.symmetric_group(4).table, name="s4", trusted=True)
+    calls = []
+    real = groups._latin_check
+    monkeypatch.setattr(groups, "_latin_check", lambda table: calls.append(1) or real(table))
+    V4 = next(N for N in ls.normal_subgroups(s4) if N.order == 4)
+    A4 = next(N for N in ls.normal_subgroups(s4) if N.order == 12)
+    groups.subgroup_as_group(s4, A4)
+    groups.quotient_group(s4, V4)
+    groups.direct_product(s4, ls.cyclic_group(2))
+    assert calls == []
+    ls.from_multiplication_table(ls.cyclic_group(3).table.tolist())
+    assert calls == [1]
 
 
 def test_from_table_normalizes_identity():

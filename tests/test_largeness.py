@@ -115,13 +115,20 @@ def test_verify_formation_member_skips_class_without_abelian_samples(s4):
 # -- claims D, E, F --------------------------------------------------------------
 
 
+def _assert_skip(report, hypothesis):
+    # a failed hypothesis is the report's only entry, with nothing checked
+    assert report.outcome == "skip"
+    assert report.hypotheses == [(hypothesis, False)]
+    assert report.witnesses == []
+    assert report.counterexample is None
+
+
 def test_verify_fitting_large(s4, sl23, a5):
     report = ls.verify_fitting_large(s4)
     assert report.outcome == "pass"
     assert report.witnesses[0].order == 4
     assert ls.verify_fitting_large(sl23).witnesses[0].order == 8
-    with pytest.raises(ls.HypothesisFailed):
-        ls.verify_fitting_large(a5)
+    _assert_skip(ls.verify_fitting_large(a5), "soluble")
 
 
 def test_verify_generalized_fitting_large(s4, a5, sl23):
@@ -145,8 +152,7 @@ def test_verify_two_step_core_large(s4, a5):
     report3 = ls.verify_two_step_core_large(s4, [3])
     assert report3.outcome == "pass"
     assert report3.witnesses[0].order == 12
-    with pytest.raises(ls.HypothesisFailed):
-        ls.verify_two_step_core_large(a5, [2])
+    _assert_skip(ls.verify_two_step_core_large(a5, [2]), "pi_separable")
     # separable for a prime set that misses the order entirely
     assert ls.verify_two_step_core_large(a5, [7]).outcome == "pass"
 
@@ -163,8 +169,7 @@ def test_verify_nilpotent_class_bound(s4, sl23, a5):
     assert [w.order for w in report2.witnesses] == [8]
     with pytest.raises(ls.BadClassBound):
         ls.verify_nilpotent_class_bound_large(s4, 1)
-    with pytest.raises(ls.NotSoluble):
-        ls.verify_nilpotent_class_bound_large(a5, 2)
+    _assert_skip(ls.verify_nilpotent_class_bound_large(a5, 2), "soluble")
 
 
 def test_verify_derived_length_bound(s4, a5):
@@ -173,8 +178,7 @@ def test_verify_derived_length_bound(s4, a5):
     assert [w.order for w in report.witnesses] == [12]
     with pytest.raises(ls.BadBound):
         ls.verify_derived_length_bound_large(s4, 1)
-    with pytest.raises(ls.NotSoluble):
-        ls.verify_derived_length_bound_large(a5, 2)
+    _assert_skip(ls.verify_derived_length_bound_large(a5, 2), "soluble")
 
 
 # -- claim H and the scan ---------------------------------------------------------
@@ -201,8 +205,7 @@ def test_verify_maximal_abelian_records_witnesses_on_skip(a4xa4, sl23):
 
 
 def test_verify_maximal_abelian_requires_soluble(a5):
-    with pytest.raises(ls.NotSoluble):
-        ls.verify_maximal_abelian_large(a5)
+    _assert_skip(ls.verify_maximal_abelian_large(a5), "soluble")
 
 
 def test_scan_statuses(a4, a4xa4, sl23, a5):
@@ -310,6 +313,28 @@ def test_report_shape_and_serialization(s4):
     json.dumps(data)
     witness = data["witnesses"][0]
     assert set(witness) == {"descriptor", "order", "is_large", "centralizer_order"}
+
+
+_A5_SKIP = ',"witnesses":[],"passed":false,"outcome":"skip","counterexample":null}'
+_A5_RECORDS = {
+    "D": '{"theorem":"D","group":"alternating(5)","order":60,"hypotheses":[["soluble",false]]' + _A5_SKIP,
+    "E": '{"theorem":"E","group":"alternating(5)","order":60,"hypotheses":[],"witnesses":[{"descriptor":"generalized fitting subgroup (fitting subgroup (order 1) joined with the layer (order 60))","order":60,"is_large":true,"centralizer_order":1}],"passed":true,"outcome":"pass","counterexample":null}',
+    "F:2": '{"theorem":"F","group":"alternating(5)","order":60,"hypotheses":[["pi_separable",false]]' + _A5_SKIP,
+    "F:2,3": '{"theorem":"F","group":"alternating(5)","order":60,"hypotheses":[["pi_separable",false]]' + _A5_SKIP,
+    "G:2": '{"theorem":"G","group":"alternating(5)","order":60,"hypotheses":[["soluble",false]]' + _A5_SKIP,
+    "GD:2": '{"theorem":"GD","group":"alternating(5)","order":60,"hypotheses":[["soluble",false]]' + _A5_SKIP,
+    "H": '{"theorem":"H","group":"alternating(5)","order":60,"hypotheses":[["soluble",false]]' + _A5_SKIP,
+    "A:nilpotent": '{"theorem":"A","group":"alternating(5)","order":60,"hypotheses":[["assembled_from_nilpotent",false]]' + _A5_SKIP,
+    "C:supersoluble": '{"theorem":"C","group":"alternating(5)","order":60,"hypotheses":[["contains_abelian_samples",true],["assembled_from_supersoluble",false]]' + _A5_SKIP,
+}
+
+
+@pytest.mark.parametrize("selector", list(_A5_RECORDS))
+def test_verify_selector_report_is_the_cli_record(a5, selector):
+    # each record is the line `largesub verify --format jsonl` prints for
+    # alternating(5): the library's report and the CLI's record are one
+    data = ls.verify_selector(a5, selector).to_dict()
+    assert json.dumps(data, separators=(",", ":")) == _A5_RECORDS[selector]
 
 
 def test_report_outcome_logic():

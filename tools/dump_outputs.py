@@ -17,24 +17,30 @@ families, each hashed over all 243 groups in corpus order:
                        factor orders)
     invariants         nilpotency_class and derived_length of G and of each
                        normal subgroup of G
-    reports            verify_selector on every selector of the claims
-                       benchmark plus H (the report, or the skip's error)
+    reports            exit code and stdout of `largesub verify --format
+                       jsonl` over a corpus file of all the groups, one
+                       value per selector: every selector of the claims
+                       benchmark plus H and C:supersoluble
 
 Each line reads: family, number of values hashed, sha256.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import largesub as ls  # noqa: E402
+from largesub import cli  # noqa: E402
 
-SELECTORS = ("D", "E", "F:2,3", "G:2", "GD:2", "A:nilpotent", "H")
+SELECTORS = ("D", "E", "F:2,3", "G:2", "GD:2", "A:nilpotent", "H", "C:supersoluble")
 FAMILIES = ("normal_subgroups", "centralizers", "series", "invariants", "reports")
 
 
@@ -42,15 +48,16 @@ def _chain(series) -> list:
     return [[S.elements for S in series.chain], list(series.factor_orders)]
 
 
-def _report(G, selector: str):
-    try:
-        return ls.verify_selector(G, selector).to_dict()
-    except (ls.HypothesisFailed, ls.NotSoluble) as exc:
-        return ["skip", type(exc).__name__, str(exc)]
+def _verify(path: Path, selector: str) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--claim", selector, str(path), "--format", "jsonl"])
+    return [selector, code, out.getvalue()]
 
 
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
+    corpus = list(corpus)
     digests = {family: hashlib.sha256() for family in FAMILIES}
     counts = dict.fromkeys(FAMILIES, 0)
 
@@ -67,8 +74,11 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         put("series", [_chain(ls.derived_series(G)), _chain(ls.lower_central_series(G))])
         for x in [G, *normals]:
             put("invariants", [ls.nilpotency_class(x), ls.derived_length(x)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        ls.write_corpus(path, corpus)
         for selector in SELECTORS:
-            put("reports", [selector, _report(G, selector)])
+            put("reports", _verify(path, selector))
     return {family: (counts[family], digests[family].hexdigest()) for family in FAMILIES}
 
 
