@@ -10,22 +10,21 @@ them empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ClosureNotDeclared, NotSoluble, UnknownClass
-from .groups import FiniteGroup, pi_part, prime_factors
+from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
     _memoized,
-    centralizer,
+    center,
     chief_series,
     commutator_subgroup,
     composition_factors,
     derived_series,
-    intersect,
     lower_central_series,
     minimal_normal_subgroups,
     normal_subgroups,
@@ -44,16 +43,25 @@ class ClosureFlags:
 
 @dataclass(frozen=True)
 class ClassPredicate:
+    """member takes a group or a Subgroup of one, like the structure
+    functions; every built-in test works in the parent's table.
+    maximal_normal_members needs the normal_subgroups flag."""
+
     name: str
-    member: Callable[[FiniteGroup], bool]
+    member: Callable[[FiniteGroup | Subgroup], bool]
     closed_under: ClosureFlags
 
 
 # -- membership tests --------------------------------------------------------
 
 
-def is_abelian(G: FiniteGroup) -> bool:
-    return bool(np.array_equal(G.table, G.table.T))
+def is_abelian(x) -> bool:
+    """The H x H block of the parent's table equals its transpose; takes a
+    group or a subgroup H."""
+    H = _as_subgroup(x)
+    hs = H.as_array()
+    block = H.parent.table[hs[:, None], hs]
+    return bool(np.array_equal(block, block.T))
 
 
 def nilpotency_class(G: FiniteGroup) -> int | None:
@@ -139,18 +147,18 @@ def is_quasisimple(x) -> bool:
     H/Z(H) is simple exactly when two normal subgroups of H contain Z(H)
     (Z(H) and H itself), so no quotient is built."""
     H = _as_subgroup(x)
-    G = H.parent
-    if commutator_subgroup(G, H, H) != H:
+    if commutator_subgroup(H.parent, H, H) != H:
         return False
-    Z = intersect(centralizer(G, H), H)
+    Z = center(H)
     return sum(1 for N in normal_subgroups(H) if Z <= N) == 2
 
 
-def is_quasinilpotent(G: FiniteGroup) -> bool:
-    """Coincides with its own generalized fitting subgroup."""
+def is_quasinilpotent(x) -> bool:
+    """Coincides with its own generalized fitting subgroup, which lies in
+    it, so the orders decide; takes a group or a subgroup."""
     from .radicals import generalized_fitting_subgroup
 
-    return generalized_fitting_subgroup(G).subgroup.is_whole
+    return generalized_fitting_subgroup(x).subgroup.order == x.order
 
 
 def in_extension_closure(X: ClassPredicate, G: FiniteGroup) -> bool:
@@ -182,11 +190,7 @@ def has_minimal_supersoluble_residual(G: FiniteGroup) -> bool:
 # -- the built-in catalog ----------------------------------------------------
 
 
-def _flags(**kwargs) -> ClosureFlags:
-    return ClosureFlags(**kwargs)
-
-
-_ALL_CLOSED = _flags(
+_ALL_CLOSED = ClosureFlags(
     normal_subgroups=True,
     quotients=True,
     direct_products=True,
@@ -196,7 +200,7 @@ _ALL_CLOSED = _flags(
 )
 
 # not central-extension closed, not saturated, not a Fitting class
-_BOUNDED_FLAGS = _flags(normal_subgroups=True, quotients=True, direct_products=True)
+_BOUNDED_FLAGS = ClosureFlags(normal_subgroups=True, quotients=True, direct_products=True)
 
 
 def builtin_class(key: str) -> ClassPredicate:
@@ -252,13 +256,7 @@ def builtin_class(key: str) -> ClassPredicate:
         return ClassPredicate(
             "supersoluble",
             is_supersoluble,
-            _flags(
-                normal_subgroups=True,
-                quotients=True,
-                direct_products=True,
-                central_extensions=True,
-                solubly_saturated_formation=True,
-            ),
+            replace(_ALL_CLOSED, fitting_class=False),
         )
     if name == "quasinilpotent":
         return ClassPredicate("quasinilpotent", is_quasinilpotent, _ALL_CLOSED)

@@ -9,6 +9,12 @@ class GroupError(Exception):
     pass
 
 
+class ForeignSubgroup(GroupError, ValueError):
+    """A subgroup was given together with a group (or another subgroup) it
+    does not belong to.  Also a ValueError, so callers that catch
+    ValueError for it keep working."""
+
+
 class NotAGroup(GroupError):
     """An axiom failed.  ``witness`` pins down where: a triple (a, b, c) for
     associativity, an element index for a missing inverse, a row/column pair

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ForeignSubgroup,
     NotAbelian,
     NotAGroup,
     NotCentral,
@@ -283,7 +284,7 @@ class Subgroup:
 
     def __le__(self, other: Subgroup) -> bool:
         if self.parent is not other.parent:
-            raise ValueError("subgroups of different parents")
+            raise ForeignSubgroup("subgroups of different parents")
         return self._set <= other._set
 
     def __lt__(self, other: Subgroup) -> bool:
@@ -553,8 +554,12 @@ def central_product_with_embeddings(
     the identity pair 0 -> 0 is implied).
 
     Returns (group, embed_G, embed_H): the quotient of G x H by the twisted
-    diagonal of the pairing, plus the two index maps embedding G and H.
-    G x H itself is built, so the order cap applies to |G|*|H|.
+    diagonal D of the pairing, plus the two index maps embedding G and H.
+    The order cap applies to the quotient, of order |G|*|H|/|D|: G x H is
+    never built.  Its pair (g, h) has index g*|H| + h, as in direct_product,
+    and the cosets are numbered by least member, as quotient_group numbers
+    them.  The least member of (g, h)D is (g*z, h*w) for the (z, w) in D
+    with g*z least, and it is (g, h) itself exactly when g is least in gZ.
     """
     pairing = {int(k): int(v) for k, v in pairing.items()}
     pairing.setdefault(0, 0)
@@ -575,17 +580,27 @@ def central_product_with_embeddings(
                 raise NotIsomorphism(
                     f"pairing breaks multiplication at ({a}, {b})"
                 )
-    P = direct_product(G, H, cap=cap)
+    _check_cap(G.order * H.order // len(dom), cap)
     nh = H.order
-    diag = [z * nh + H.inv(pairing[z]) for z in dom]
-    N = Subgroup(P, diag)
-    Q, proj = quotient_group(P, N)
+    gz = G.table[:, list(dom)]
+    best = gz.argmin(axis=1)
+    least_g = gz[np.arange(G.order), best].astype(np.int64)
+    w = H.inverses[[pairing[z] for z in dom]][best]
+    reps = (np.flatnonzero(least_g == np.arange(G.order))[:, None] * nh + np.arange(nh)).ravel()
+
+    def coset(g, h):
+        return np.searchsorted(reps, least_g[g] * nh + H.table[h, w[g]])
+
+    gs, hs = reps // nh, reps % nh
+    table = coset(G.table[gs[:, None], gs], H.table[hs[:, None], hs])
     if name is None and G.name and H.name:
         name = f"central({G.name},{H.name})"
-    if name is not None:
-        Q = FiniteGroup(Q.table, name=name, labels=Q.labels, trusted=True)
-    embed_g = tuple(int(proj[g * nh]) for g in range(G.order))
-    embed_h = tuple(int(proj[h]) for h in range(H.order))
+    labels = None
+    if G.labels is not None and H.labels is not None:
+        labels = tuple(f"[({G.labels[g]},{H.labels[h]})]" for g, h in zip(gs, hs))
+    Q = FiniteGroup(table.astype(np.int32), name=name, labels=labels, trusted=True)
+    embed_g = tuple(int(c) for c in coset(np.arange(G.order), 0))
+    embed_h = tuple(int(c) for c in coset(0, np.arange(nh)))
     return Q, embed_g, embed_h
 
 
@@ -595,7 +610,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     Cosets are ordered by their least member, so the labelling is canonical.
     """
     if N.parent is not G:
-        raise ValueError("subgroup belongs to a different group")
+        raise ForeignSubgroup("subgroup belongs to a different group")
     cached = G._cache.get(("quotient", N.elements))
     if cached is not None:
         return cached
@@ -622,7 +637,7 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup):
     """The abstract group carried by a subgroup.  Returns (group, back_map):
     element i of the result is back_map[i] in G; back_map is S.elements."""
     if S.parent is not G:
-        raise ValueError("subgroup belongs to a different group")
+        raise ForeignSubgroup("subgroup belongs to a different group")
     cached = G._cache.get(("induced", S.elements))
     if cached is not None:
         return cached

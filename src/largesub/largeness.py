@@ -53,6 +53,7 @@ from .errors import (
     BadBound,
     BadClassBound,
     ClosureFlagsMissing,
+    ForeignSubgroup,
     NotCentral,
     NotNormal,
     TrivialGroup,
@@ -80,7 +81,7 @@ from .structure import center, centralizer, frattini_of_abelian
 def is_large(G: FiniteGroup, N: Subgroup) -> bool:
     """Whether the centralizer of the normal subgroup N lies inside N."""
     if N.parent is not G:
-        raise ValueError("subgroup belongs to a different group")
+        raise ForeignSubgroup("subgroup belongs to a different group")
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.display_name}")
     return centralizer(G, N) <= N
@@ -166,6 +167,14 @@ def _witness(G: FiniteGroup, S: Subgroup, descriptor: str) -> WitnessRecord:
     )
 
 
+def _add_maximal_members(
+    report: VerificationReport, G: FiniteGroup, X: ClassPredicate, prefix: str
+) -> None:
+    # one witness per maximal normal X-subgroup S, described as prefix + |S|
+    for S in maximal_normal_members(G, X):
+        report.witnesses.append(_witness(G, S, f"{prefix}{S.order}"))
+
+
 def _finish(report: VerificationReport) -> VerificationReport:
     if report.hypotheses_ok:
         bad = next((w for w in report.witnesses if not w.is_large), None)
@@ -208,10 +217,7 @@ def verify_maximal_member_large(G: FiniteGroup, X: ClassPredicate) -> Verificati
     assembled = in_extension_closure(X, G)
     report.hypotheses.append((f"assembled_from_{X.name}", assembled))
     if assembled:
-        for S in maximal_normal_members(G, X):
-            report.witnesses.append(
-                _witness(G, S, f"maximal normal {X.name}-subgroup of order {S.order}")
-            )
+        _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
     return _finish(report)
 
 
@@ -241,10 +247,7 @@ def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> Verifica
     )
     report.hypotheses.append((f"assembled_from_{X.name}", in_extension_closure(X, G)))
     if report.hypotheses_ok:
-        for S in maximal_normal_members(G, X):
-            report.witnesses.append(
-                _witness(G, S, f"maximal normal {X.name}-subgroup of order {S.order}")
-            )
+        _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
     return _finish(report)
 
 
@@ -296,12 +299,10 @@ def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationRe
     if c < 2:
         raise BadClassBound(f"the class bound must be at least 2, got {c}")
     report = _soluble_report("G", G)
-    if not report.hypotheses_ok:
-        return _finish(report)
-    X = builtin_class(f"nilpotent_class:{c}")
-    for S in maximal_normal_members(G, X):
-        report.witnesses.append(
-            _witness(G, S, f"maximal normal subgroup of nilpotency class <= {c}, order {S.order}")
+    if report.hypotheses_ok:
+        X = builtin_class(f"nilpotent_class:{c}")
+        _add_maximal_members(
+            report, G, X, f"maximal normal subgroup of nilpotency class <= {c}, order "
         )
     return _finish(report)
 
@@ -312,12 +313,10 @@ def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationRep
     if d < 2:
         raise BadBound(f"the derived length bound must be at least 2, got {d}")
     report = _soluble_report("GD", G)
-    if not report.hypotheses_ok:
-        return _finish(report)
-    X = builtin_class(f"soluble_derived:{d}")
-    for S in maximal_normal_members(G, X):
-        report.witnesses.append(
-            _witness(G, S, f"maximal normal subgroup of derived length <= {d}, order {S.order}")
+    if report.hypotheses_ok:
+        X = builtin_class(f"soluble_derived:{d}")
+        _add_maximal_members(
+            report, G, X, f"maximal normal subgroup of derived length <= {d}, order "
         )
     return _finish(report)
 
@@ -337,10 +336,9 @@ def verify_maximal_abelian_large(G: FiniteGroup) -> VerificationReport:
     report.hypotheses.append(
         ("supersoluble_residual_minimal_or_trivial", has_minimal_supersoluble_residual(G))
     )
-    for S in maximal_normal_members(G, builtin_class("abelian")):
-        report.witnesses.append(
-            _witness(G, S, f"maximal abelian normal subgroup of order {S.order}")
-        )
+    _add_maximal_members(
+        report, G, builtin_class("abelian"), "maximal abelian normal subgroup of order "
+    )
     return _finish(report)
 
 
@@ -371,7 +369,7 @@ def central_cover_witness(G: FiniteGroup, Z: Subgroup) -> CentralCoverWitness:
     subgroup of its stretched abelian cover Y, inside the central product
     of G and Y.  Returns the product plus the recorded checks."""
     if Z.parent is not G:
-        raise ValueError("subgroup belongs to a different group")
+        raise ForeignSubgroup("subgroup belongs to a different group")
     if Z.is_trivial:
         raise TrivialGroup("the chosen central subgroup is trivial")
     if not Z <= center(G):

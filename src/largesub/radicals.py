@@ -4,23 +4,25 @@ Each construction works off the complete normal subgroup list, which keeps
 it honest: a radical only exists because the relevant join stays in the
 class, and when a caller claims Fitting/formation behavior for a class
 that does not have it, the failure surfaces as a typed error carrying the
-two witnesses that break it.  Cores, the supersoluble residual, the
-soluble radical and the components build no group: they work on the
-parent's table, through the structure functions that take subgroups.
-Only the generic constructions over a ClassPredicate (class_radical,
-maximal_normal_members, class_residual) build induced groups or
-quotients, because a predicate's member test takes a group.
+two witnesses that break it.  Nothing here builds a group but
+class_residual, which tests quotients: the cores, radicals, components and
+the supersoluble residual work on the parent's table, and a ClassPredicate's
+member test takes a Subgroup, so class_radical and maximal_normal_members
+test each normal subgroup where it lies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .classes import ClassPredicate, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
-from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group
 from .structure import (
+    _as_subgroup,
     _is_prime,
+    _memoized,
     derived_series,
     intersect,
     join,
@@ -37,10 +39,6 @@ class RadicalResult:
     witness: str
 
 
-def _induced(G: FiniteGroup, S: Subgroup) -> FiniteGroup:
-    return subgroup_as_group(G, S)[0]
-
-
 def _largest_closed_candidate(candidates: list[Subgroup], what: str) -> Subgroup:
     # For genuinely join-closed families the largest candidate contains all
     # others; assert it rather than trust it.
@@ -51,14 +49,14 @@ def _largest_closed_candidate(candidates: list[Subgroup], what: str) -> Subgroup
     return best
 
 
-def pi_core(G: FiniteGroup, pi, *, _validated: bool = False) -> RadicalResult:
-    """Largest normal subgroup whose order uses only primes from pi."""
+def pi_core(x, pi, *, _validated: bool = False) -> RadicalResult:
+    """Largest normal pi-subgroup of a group or a subgroup."""
     if not _validated:
         from .classes import _validate_pi
 
         pi = _validate_pi(pi)
     pi = tuple(pi)
-    candidates = [N for N in normal_subgroups(G) if pi_part(N.order, pi) == N.order]
+    candidates = [N for N in normal_subgroups(x) if pi_part(N.order, pi) == N.order]
     best = _largest_closed_candidate(candidates, f"normal {{{','.join(map(str, pi))}}}-subgroup")
     return RadicalResult(
         best, f"largest of {len(candidates)} normal subgroups with order supported on {set(pi) or '{}'}"
@@ -86,56 +84,48 @@ def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
     )
 
 
-def fitting_subgroup(G: FiniteGroup) -> RadicalResult:
-    """Largest normal nilpotent subgroup: the product of the p-cores."""
-    cached = G._cache.get("fitting_subgroup")
-    if cached is None:
-        result = G.trivial()
-        primes = prime_factors(G.order)
-        for p in primes:
-            result = join(result, pi_core(G, (p,), _validated=True).subgroup)
-        cached = RadicalResult(result, f"product of the p-cores for p in {set(primes) or '{}'}")
-        G._cache["fitting_subgroup"] = cached
-    return cached
+def fitting_subgroup(x) -> RadicalResult:
+    """Largest normal nilpotent subgroup of a group or a subgroup: the
+    product of the p-cores."""
+    def compute(H):
+        primes = prime_factors(H.order)
+        cores = (pi_core(H, (p,), _validated=True).subgroup for p in primes)
+        result = reduce(join, cores, H.parent.trivial())
+        return RadicalResult(result, f"product of the p-cores for p in {set(primes) or '{}'}")
+
+    return _memoized(x, "fitting_subgroup", compute)
 
 
-def components(G: FiniteGroup) -> list[Subgroup]:
-    """Subnormal quasi-simple subgroups.
+def components(x) -> list[Subgroup]:
+    """Subnormal quasi-simple subgroups of a group or a subgroup.
 
     A quasi-simple subgroup is perfect, so it lies inside the stable term
     of the derived series; that term is characteristic, hence its subnormal
-    subgroups are exactly the subnormal subgroups of G contained in it.
+    subgroups are exactly the subnormal subgroups of the input inside it.
     Scanning only there makes soluble groups trivial to dismiss."""
-    cached = G._cache.get("components")
-    if cached is None:
-        core = derived_series(G).last
-        cached = [T for T in subnormal_subgroups(core) if is_quasisimple(T)]
-        G._cache["components"] = cached
-    return cached
+    def compute(H):
+        return [T for T in subnormal_subgroups(derived_series(H).last) if is_quasisimple(T)]
+
+    return _memoized(x, "components", compute)
 
 
-def layer(G: FiniteGroup) -> RadicalResult:
-    """Join of all components."""
-    comps = components(G)
-    result = G.trivial()
-    for S in comps:
-        result = join(result, S)
+def layer(x) -> RadicalResult:
+    """Join of all components of a group or a subgroup."""
+    comps = components(x)
+    result = reduce(join, comps, _as_subgroup(x).parent.trivial())
     return RadicalResult(result, f"join of {len(comps)} components")
 
 
-def generalized_fitting_subgroup(G: FiniteGroup) -> RadicalResult:
-    """Join of the fitting subgroup and the layer."""
-    cached = G._cache.get("generalized_fitting")
-    if cached is None:
-        fit = fitting_subgroup(G)
-        lay = layer(G)
-        cached = RadicalResult(
-            join(fit.subgroup, lay.subgroup),
-            f"fitting subgroup (order {fit.subgroup.order}) joined with the layer "
-            f"(order {lay.subgroup.order})",
+def generalized_fitting_subgroup(x) -> RadicalResult:
+    """Join of the fitting subgroup and the layer; takes a group or a subgroup."""
+    def compute(H):
+        fit, lay = fitting_subgroup(H).subgroup, layer(H).subgroup
+        return RadicalResult(
+            join(fit, lay),
+            f"fitting subgroup (order {fit.order}) joined with the layer (order {lay.order})",
         )
-        G._cache["generalized_fitting"] = cached
-    return cached
+
+    return _memoized(x, "generalized_fitting", compute)
 
 
 def soluble_radical(G: FiniteGroup) -> RadicalResult:
@@ -151,7 +141,7 @@ def class_radical(G: FiniteGroup, X: ClassPredicate) -> RadicalResult:
     incomparable maximal members are reported as NotAFittingClassWitness."""
     if not X.closed_under.fitting_class:
         raise ClosureNotDeclared(f"class {X.name!r} is not flagged as a Fitting class")
-    members = [N for N in normal_subgroups(G) if X.member(_induced(G, N))]
+    members = [N for N in normal_subgroups(G) if X.member(N)]
     maximal = [N for N in members if not any(N < M for M in members)]
     if len(maximal) == 1:
         return RadicalResult(
@@ -167,10 +157,18 @@ def class_radical(G: FiniteGroup, X: ClassPredicate) -> RadicalResult:
 
 
 def maximal_normal_members(G: FiniteGroup, X: ClassPredicate) -> list[Subgroup]:
-    """Inclusion-maximal normal X-subgroups (no Fitting assumption; the list
-    may have several members)."""
-    members = [N for N in normal_subgroups(G) if X.member(_induced(G, N))]
-    return [N for N in members if not any(N < M for M in members)]
+    """Inclusion-maximal normal X-subgroups in canonical order (there may be
+    several), for X flagged closed under normal subgroups.  The walk goes
+    down the canonical list, so every normal subgroup above N comes first:
+    N is not tested when it lies in a member already found, and is maximal
+    when it lies in none and passes the test."""
+    if not X.closed_under.normal_subgroups:
+        raise ClosureNotDeclared(f"class {X.name!r} is not flagged closed under normal subgroups")
+    found: list[Subgroup] = []
+    for N in reversed(normal_subgroups(G)):
+        if not any(N <= M for M in found) and X.member(N):
+            found.append(N)
+    return found[::-1]
 
 
 def class_residual(G: FiniteGroup, X: ClassPredicate) -> Subgroup:

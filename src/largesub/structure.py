@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAbelian, TrivialGroup
+from .errors import ForeignSubgroup, NotAbelian, TrivialGroup
 from .groups import (
     _EMPTY,
     FiniteGroup,
@@ -46,7 +46,7 @@ def _is_prime(n: int) -> bool:
 def _elements_array(G: FiniteGroup, elements) -> np.ndarray:
     if isinstance(elements, Subgroup):
         if elements.parent is not G:
-            raise ValueError("subgroup belongs to a different group")
+            raise ForeignSubgroup("subgroup belongs to a different group")
         return elements.as_array()
     return np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
 
@@ -133,13 +133,9 @@ def centralizer(G: FiniteGroup, elements) -> Subgroup:
     return Subgroup(G, np.flatnonzero(ok))
 
 
-def center(G: FiniteGroup) -> Subgroup:
-    cached = G._cache.get("center")
-    if cached is None:
-        mask = (G.table == G.table.T).all(axis=1)
-        cached = Subgroup(G, np.flatnonzero(mask))
-        G._cache["center"] = cached
-    return cached
+def center(x) -> Subgroup:
+    """Elements of a group or a subgroup H commuting with all of H."""
+    return _memoized(x, "center", lambda H: intersect(centralizer(H.parent, H), H))
 
 
 def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
@@ -165,13 +161,13 @@ def normal_closure(x, seed) -> Subgroup:
 
 def join(first: Subgroup, second: Subgroup) -> Subgroup:
     if first.parent is not second.parent:
-        raise ValueError("subgroups of different parents")
+        raise ForeignSubgroup("subgroups of different parents")
     return Subgroup(first.parent, _close(first.parent.table, first.as_array(), second.as_array()))
 
 
 def intersect(first: Subgroup, second: Subgroup) -> Subgroup:
     if first.parent is not second.parent:
-        raise ValueError("subgroups of different parents")
+        raise ForeignSubgroup("subgroups of different parents")
     return Subgroup(first.parent, first.index_set & second.index_set)
 
 
@@ -356,20 +352,20 @@ def composition_series(x, *, rng=None) -> SeriesReport:
     return SeriesReport("composition", tuple(chain), orders, tags)
 
 
-def composition_factors(G: FiniteGroup) -> list[FiniteGroup]:
-    """The simple factor groups of the deterministic composition series,
-    top factor first."""
-    cached = G._cache.get("composition_factors")
-    if cached is None:
-        series = composition_series(G)
-        cached = []
-        for i in range(len(series.chain) - 1):
-            H, back = subgroup_as_group(G, series.chain[i])
-            pos = {e: j for j, e in enumerate(back)}
-            inner = Subgroup(H, tuple(pos[e] for e in series.chain[i + 1].elements))
-            cached.append(quotient_group(H, inner)[0])
-        G._cache["composition_factors"] = cached
-    return cached
+def composition_factors(x) -> list[FiniteGroup]:
+    """The simple factor groups of the deterministic composition series of a
+    group or a subgroup, top factor first."""
+    return _memoized(x, "composition_factors", _factors)
+
+
+def _factors(H: Subgroup) -> list[FiniteGroup]:
+    chain = composition_series(H).chain
+    out = []
+    for upper, lower in zip(chain, chain[1:]):
+        K, back = subgroup_as_group(H.parent, upper)
+        pos = {e: j for j, e in enumerate(back)}
+        out.append(quotient_group(K, Subgroup(K, tuple(pos[e] for e in lower.elements)))[0])
+    return out
 
 
 def chief_series(x) -> SeriesReport:

@@ -8,7 +8,12 @@ The normal structure of a subgroup S (classes, normal subgroups, minimal
 and maximal normals, simplicity, quasi-simplicity) and the composition
 series are computed on the parent's table.  They are checked against the
 same functions on the induced group subgroup_as_group(G, S), mapped back,
-and quasi-simplicity against its quotient-by-center definition."""
+and quasi-simplicity against its quotient-by-center definition.
+
+Class membership is tested on a Subgroup inside its parent; every built-in
+class is checked against the same test on the induced group, and
+maximal_normal_members against the full scan over induced groups that it
+replaced."""
 
 import random
 
@@ -125,3 +130,48 @@ def test_composition_series_matches_induced_recursion(groups):
         assert ls.composition_series(G).chain == _composition_chain_by_induced_groups(G)
         seeded = ls.composition_series(G, rng=random.Random(i)).chain
         assert seeded == _composition_chain_by_induced_groups(G, random.Random(i)), G.display_name
+
+
+BUILTIN_KEYS = (
+    "abelian",
+    "nilpotent",
+    "nilpotent_class:2",
+    "soluble",
+    "soluble_derived:2",
+    "supersoluble",
+    "quasinilpotent",
+    "pi_separable:2,3",
+    "normal_hall_pi_prime:2",
+)
+
+
+def test_class_membership_in_the_parent_matches_induced_groups(groups):
+    classes = [ls.builtin_class(key) for key in BUILTIN_KEYS]
+    for G in map(_fresh, groups):
+        normals = ls.normal_subgroups(G)
+        induced = {N: ls.subgroup_as_group(G, N)[0] for N in normals}
+        for X in classes:
+            for N in normals:
+                assert X.member(N) == X.member(induced[N]), (G.display_name, X.name, N.elements)
+            # the full scan over induced groups that the top-down walk replaced
+            members = [N for N in normals if X.member(induced[N])]
+            expected = [N for N in members if not any(N < M for M in members)]
+            assert ls.maximal_normal_members(G, X) == expected, (G.display_name, X.name)
+
+
+def test_class_membership_builds_no_group(small_zoo, monkeypatch):
+    groups = list(map(_fresh, small_zoo))
+    built = []
+    init = ls.FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ls.FiniteGroup, "__init__", counting_init)
+    for X in map(ls.builtin_class, BUILTIN_KEYS):
+        for G in groups:
+            ls.maximal_normal_members(G, X)
+            if X.closed_under.fitting_class:
+                ls.class_radical(G, X)
+    assert built == []

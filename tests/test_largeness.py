@@ -280,6 +280,15 @@ def test_verify_selector_dispatch(s4, sl23):
     assert dict(report.checks)["product_order"]
 
 
+def test_verify_selector_b_caps_the_central_product_not_the_direct_one():
+    # G x cover has order 14 * 196 = 2744, over the default cap of 2000;
+    # the central product glues the whole center and has order 196
+    G = ls.direct_product(ls.cyclic_group(2), ls.cyclic_group(7))
+    report = ls.verify_selector(G, "B")
+    assert report.outcome == "pass"
+    assert dict(report.checks)["product_order"]
+
+
 def test_verify_selector_b_skips_centerless(s4):
     report = ls.verify_selector(s4, "B")
     assert report.outcome == "skip"

@@ -135,6 +135,12 @@ def test_maximal_normal_members_d8():
     assert sorted(N.order for N in tops) == [4, 4, 4]
 
 
+def test_maximal_normal_members_needs_normal_subgroup_flag(s4):
+    undeclared = ls.ClassPredicate("abelian", ls.is_abelian, ls.ClosureFlags())
+    with pytest.raises(ls.ClosureNotDeclared):
+        ls.maximal_normal_members(s4, undeclared)
+
+
 def test_class_residual_abelian_is_derived(small_zoo):
     abelian = ls.builtin_class("abelian")
     for G in small_zoo:

@@ -261,3 +261,22 @@ def test_prime_factors():
     assert ls.prime_factors(360) == (2, 3, 5)
     assert ls.prime_factors(1) == ()
     assert ls.prime_factors(97) == (97,)
+
+
+def test_foreign_subgroups_raise_one_error(s4, a4):
+    # one GroupError subclass for every foreign-subgroup site, still a ValueError
+    foreign = a4.whole()
+    calls = [
+        lambda: s4.whole() <= foreign,
+        lambda: ls.quotient_group(s4, foreign),
+        lambda: ls.subgroup_as_group(s4, foreign),
+        lambda: ls.centralizer(s4, foreign),
+        lambda: ls.join(s4.whole(), foreign),
+        lambda: ls.intersect(s4.whole(), foreign),
+        lambda: ls.is_large(s4, foreign),
+        lambda: ls.central_cover_witness(s4, foreign),
+    ]
+    for call in calls:
+        with pytest.raises(ls.ForeignSubgroup) as info:
+            call()
+        assert isinstance(info.value, ls.GroupError) and isinstance(info.value, ValueError)

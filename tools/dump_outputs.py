@@ -20,7 +20,8 @@ families, each hashed over all 243 groups in corpus order:
     reports            exit code and stdout of `largesub verify --format
                        jsonl` over a corpus file of all the groups, one
                        value per selector: every selector of the claims
-                       benchmark plus H and C:supersoluble
+                       benchmark plus H, C:supersoluble, A:quasinilpotent
+                       and C:quasinilpotent
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -40,7 +41,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import largesub as ls  # noqa: E402
 from largesub import cli  # noqa: E402
 
-SELECTORS = ("D", "E", "F:2,3", "G:2", "GD:2", "A:nilpotent", "H", "C:supersoluble")
+SELECTORS = (
+    "D",
+    "E",
+    "F:2,3",
+    "G:2",
+    "GD:2",
+    "A:nilpotent",
+    "H",
+    "C:supersoluble",
+    "A:quasinilpotent",
+    "C:quasinilpotent",
+)
 FAMILIES = ("normal_subgroups", "centralizers", "series", "invariants", "reports")
 
 
