@@ -15,7 +15,6 @@ import numpy as np
 from .errors import OrderCapExceeded, UnknownName
 from .groups import (
     FiniteGroup,
-    PermGenSet,
     cyclic_group,
     direct_product,
     from_permutation_generators,
@@ -89,7 +88,7 @@ def symmetric_group(n: int, *, cap=None) -> FiniteGroup:
         raise UnknownName(f"symmetric({n}) is outside the built-in range 1..6")
     if n == 1:
         return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name="symmetric(1)", trusted=True)
-    gens = PermGenSet(n, (tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])))
+    gens = ([1, 0, *range(2, n)], [*range(1, n), 0])
     return from_permutation_generators(gens, name=f"symmetric({n})", cap=cap)
 
 
@@ -103,9 +102,8 @@ def alternating_group(n: int, *, cap=None) -> FiniteGroup:
         # (0 1 c)
         img = list(range(n))
         img[0], img[1], img[c] = 1, c, 0
-        three_cycles.append(tuple(img))
-    gens = PermGenSet(n, tuple(three_cycles))
-    return from_permutation_generators(gens, name=f"alternating({n})", cap=cap)
+        three_cycles.append(img)
+    return from_permutation_generators(three_cycles, name=f"alternating({n})", cap=cap)
 
 
 def special_linear_2_3(*, cap=None) -> FiniteGroup:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ClosureNotDeclared, NotSoluble, UnknownClass
+from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
@@ -103,14 +103,14 @@ def is_supersoluble(G: FiniteGroup) -> bool:
 def _validate_pi(pi) -> tuple[int, ...]:
     primes = tuple(sorted(set(int(p) for p in pi)))
     if not primes:
-        raise ValueError("the prime set must be nonempty")
+        raise BadArgument("the prime set must be nonempty")
     for p in primes:
         # no table group has an order near 2**31, and the bound keeps the
         # trial division in prime_factors short
         if p >= 2**31:
-            raise ValueError(f"{p} is out of range for a prime parameter (below 2**31)")
+            raise BadArgument(f"{p} is out of range for a prime parameter (below 2**31)")
         if prime_factors(p) != (p,):
-            raise ValueError(f"{p} is not prime")
+            raise BadArgument(f"{p} is not prime")
     return primes
 
 

@@ -15,6 +15,14 @@ class ForeignSubgroup(GroupError, ValueError):
     ValueError for it keep working."""
 
 
+class BadArgument(GroupError, ValueError):
+    """An argument outside its domain: subgroup elements without the
+    identity or of a size not dividing the group order, labels that do not
+    match the order, a primary order that is not a prime power, or an empty
+    or non-prime prime set.  Also a ValueError, so callers that catch
+    ValueError for it keep working."""
+
+
 class NotAGroup(GroupError):
     """An axiom failed.  ``witness`` pins down where: a triple (a, b, c) for
     associativity, an element index for a missing inverse, a row/column pair

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadArgument,
     ForeignSubgroup,
     NotAbelian,
     NotAGroup,
@@ -124,7 +125,7 @@ class FiniteGroup:
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
-                raise ValueError("labels must match the order")
+                raise BadArgument("labels must match the order")
         self.order = int(n)
         self.name = name
         self.labels = labels
@@ -238,9 +239,9 @@ class Subgroup:
         self.parent = parent
         elems = tuple(sorted(set(int(e) for e in elements)))
         if not elems or elems[0] != 0:
-            raise ValueError("a subgroup must contain the identity")
+            raise BadArgument("a subgroup must contain the identity")
         if parent.order % len(elems) != 0:
-            raise ValueError("subgroup size must divide the group order")
+            raise BadArgument("subgroup size must divide the group order")
         self.elements = elems
         self._set = frozenset(elems)
 
@@ -449,62 +450,63 @@ def from_multiplication_table(table, *, name=None, labels=None, cap=None) -> Fin
     return FiniteGroup(arr, name=name, labels=labels, trusted=False)
 
 
-@dataclass(frozen=True)
-class PermGenSet:
-    """Permutation generators on points 0..degree-1, images given one-line."""
-
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "generators",
-            tuple(tuple(int(i) for i in g) for g in self.generators),
-        )
-        for g in self.generators:
-            if len(g) != self.degree or sorted(g) != list(range(self.degree)):
-                raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")
-
-
 def from_permutation_generators(gens, *, name=None, cap=None) -> FiniteGroup:
-    """Close a permutation generating set and return the abstract group.
+    """Close permutations of 0..d-1, given as one-line images, and return
+    the abstract group.
 
-    Accepts a PermGenSet or a plain sequence of one-line images.
-    The closure aborts with OrderCapExceeded as soon as it outgrows the cap.
-    Element 0 is the identity permutation; labels are the one-line images.
+    Elements are numbered in depth-first discovery order from the identity
+    (index 0): pop the last element found, right-multiply it by each
+    generator in turn (p * q has the images p[q[x]]), and number each new
+    product as it appears.  Indices and labels (the one-line images) follow
+    this order.  The closure aborts with OrderCapExceeded as soon as it
+    outgrows the cap.
+
+    The table is read off the Cayley graph the closure walks: if
+    p_k = p_i * g, then p_j * p_k = (p_j * p_i) * g, so column k is column i
+    mapped through right multiplication by g.  That costs n * |gens|
+    compositions and n column gathers, not n**2 compositions.
     """
-    if not isinstance(gens, PermGenSet):
-        raw = [tuple(g) for g in gens]
-        if not raw:
-            raise NotAGroup("no generators given")
-        try:
-            gens = PermGenSet(len(raw[0]), tuple(raw))
-        except ValueError as exc:
-            raise NotAGroup(str(exc)) from exc
+    try:
+        gens = [tuple(int(i) for i in g) for g in gens]
+    except ValueError as exc:  # a string that is not an integer
+        raise NotAGroup(str(exc)) from exc
+    if not gens:
+        raise NotAGroup("no generators given")
+    degree = len(gens[0])
+    for g in gens:
+        if len(g) != degree or sorted(g) != list(range(degree)):
+            raise NotAGroup(f"not a permutation of 0..{degree - 1}: {g}")
     limit = order_cap(cap)
-    identity = tuple(range(gens.degree))
+    identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    queue = [identity]
-    gen_list = list(gens.generators)
+    found = []  # found[k - 1] = (i, g) with elems[k] = elems[i] * gens[g]
+    popped, products = [], []  # products[r * |gens| + g] = index(elems[popped[r]] * gens[g])
+    queue = [0]
     while queue:
-        p = queue.pop()
-        for g in gen_list:
-            q = tuple(p[g[i]] for i in range(gens.degree))
-            if q not in index:
+        i = queue.pop()
+        p = elems[i]
+        popped.append(i)
+        for g, s in enumerate(gens):
+            q = tuple(p[k] for k in s)
+            j = index.get(q)
+            if j is None:
                 if len(elems) >= limit:
                     raise OrderCapExceeded(len(elems) + 1, limit)
-                index[q] = len(elems)
+                j = index[q] = len(elems)
                 elems.append(q)
-                queue.append(q)
+                found.append((i, g))
+                queue.append(j)
+            products.append(j)
     n = len(elems)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[q[k]] for k in range(gens.degree))]
+    right = np.empty((len(gens), n), dtype=np.int32)
+    right[:, popped] = np.asarray(products, dtype=np.int32).reshape(n, len(gens)).T
+    columns = np.empty((n, n), dtype=np.int32)  # columns[k] = table[:, k]
+    columns[0] = np.arange(n)
+    for k, (i, g) in enumerate(found, start=1):
+        columns[k] = right[g, columns[i]]
     labels = tuple("(" + " ".join(map(str, p)) + ")" for p in elems)
-    return FiniteGroup(table, name=name, labels=labels, trusted=True)
+    return FiniteGroup(columns.T, name=name, labels=labels, trusted=True)
 
 
 def cyclic_group(n: int, *, cap=None) -> FiniteGroup:
@@ -681,7 +683,7 @@ class AbelianInvariants:
         for q in orders:
             ps = prime_factors(q)
             if len(ps) != 1 or q < 2:
-                raise ValueError(f"{q} is not a prime power > 1")
+                raise BadArgument(f"{q} is not a prime power > 1")
         object.__setattr__(self, "primary_orders", orders)
 
     @property

@@ -147,3 +147,36 @@ def is_associative(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+class ClosureCapExceeded(Exception):
+    """The oracle's permutation closure outgrew its cap."""
+
+    def __init__(self, order, cap):
+        super().__init__(order, cap)
+        self.order = order
+        self.cap = cap
+
+
+def permutation_group(gens, cap):
+    """Table and labels of the group generated by one-line permutations:
+    the same depth-first closure as the library (pop the last element found,
+    right-multiply by each generator), then all n**2 compositions."""
+    degree = len(gens[0])
+    identity = tuple(range(degree))
+    elems, index, queue = [identity], {identity: 0}, [identity]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(degree))
+            if q not in index:
+                if len(elems) >= cap:
+                    raise ClosureCapExceeded(len(elems) + 1, cap)
+                index[q] = len(elems)
+                elems.append(q)
+                queue.append(q)
+    table = [
+        [index[tuple(p[q[k]] for k in range(degree))] for q in elems] for p in elems
+    ]
+    labels = tuple("(" + " ".join(map(str, p)) + ")" for p in elems)
+    return table, labels

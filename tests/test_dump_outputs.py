@@ -20,13 +20,15 @@ def test_dump_families_and_counts():
     corpus = [ls.alternating_group(5), ls.symmetric_group(3), ls.special_linear_2_3()]
     result = tool.dump(corpus)
     assert tuple(result) == (
-        "normal_subgroups", "centralizers", "series", "invariants", "reports"
+        "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports"
     )
     counts = {family: count for family, (count, _) in result.items()}
-    # normal_subgroups: one list per composition chain member (2 + 3 + 5);
-    # centralizers: one per normal subgroup of G (2 + 3 + 4); invariants:
-    # G and each of its normal subgroups; reports: one CLI run per selector
+    # tables: one per group; normal_subgroups: one list per composition
+    # chain member (2 + 3 + 5); centralizers: one per normal subgroup of G
+    # (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
+    # one CLI run per selector
     assert counts == {
+        "tables": 3,
         "normal_subgroups": 10,
         "centralizers": 9,
         "series": 3,

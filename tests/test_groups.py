@@ -1,9 +1,14 @@
+import json
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import largesub as ls
+import largesub.catalog as catalog
 import largesub.groups as groups
 import oracles
 from largesub.groups import _light_generators
@@ -225,6 +230,76 @@ def test_permutation_closure_respects_cap():
         ls.from_permutation_generators([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], cap=60)
 
 
+def _assert_matches_oracle(G, gens, cap=ls.DEFAULT_ORDER_CAP):
+    table, labels = oracles.permutation_group(gens, cap)
+    assert G.table.tolist() == table
+    assert G.labels == labels
+
+
+def test_catalog_permutation_groups_match_oracle(monkeypatch, tmp_path):
+    calls = []
+
+    def recording(gens, **kwargs):
+        calls.append([list(g) for g in gens])
+        return groups.from_permutation_generators(gens, **kwargs)
+
+    monkeypatch.setattr(catalog, "from_permutation_generators", recording)
+    for n in range(1, 7):
+        for make in (ls.symmetric_group, ls.alternating_group):
+            before = len(calls)
+            G = make(n)
+            if len(calls) == before:  # S1, A1 and A2 are built as the trivial table
+                assert G.order == 1 and G.labels is None
+            else:
+                _assert_matches_oracle(G, calls[-1])
+    assert len(calls) == 9
+    # the same generators as perm records, read back through the corpus reader
+    path = tmp_path / "perm.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"kind": "perm", "degree": len(g[0]), "generators": g}) + "\n"
+            for g in calls
+        )
+    )
+    for G, gens in zip(ls.read_corpus(path), calls):
+        _assert_matches_oracle(G, gens)
+
+
+@st.composite
+def _generator_sets(draw):
+    d = draw(st.integers(0, 7))
+    gens = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    return gens, draw(st.integers(1, 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_generator_sets())
+def test_permutation_closure_matches_oracle(drawn):
+    gens, cap = drawn
+    try:
+        expected = oracles.permutation_group(gens, cap)
+    except oracles.ClosureCapExceeded as exc:
+        with pytest.raises(ls.OrderCapExceeded) as info:
+            ls.from_permutation_generators(gens, cap=cap)
+        assert (info.value.order, info.value.cap) == (exc.order, exc.cap)
+        return
+    G = ls.from_permutation_generators(gens, cap=cap)
+    assert (G.table.tolist(), G.labels) == expected
+    # trusted tables skip the axiom checks, so audit them here
+    ls.validate_axioms(G)
+
+
+def test_symmetric_6_builds_fast():
+    # composing all n**2 pairs of permutations takes about 0.9 s for S6;
+    # reading the table off the Cayley graph about 0.01 s
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ls.symmetric_group(6)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.2
+
+
 def test_order_cap_env_override(monkeypatch):
     monkeypatch.setenv(ls.ORDER_CAP_ENV, "10")
     assert ls.order_cap() == 10
@@ -269,6 +344,23 @@ def test_subgroup_requires_identity_and_lagrange(s4):
         ls.Subgroup(s4, [1, 2])
     with pytest.raises(ValueError):
         ls.Subgroup(s4, list(range(5)))
+
+
+def test_bad_arguments_raise_one_error(s4):
+    # one GroupError subclass for every out-of-domain argument, still a ValueError
+    calls = [
+        lambda: ls.Subgroup(s4, [1, 2]),
+        lambda: ls.Subgroup(s4, list(range(5))),
+        lambda: ls.FiniteGroup(ls.cyclic_group(2).table, labels=["e"]),
+        lambda: ls.AbelianInvariants((6,)),
+        lambda: ls.is_pi_group(s4, []),
+        lambda: ls.is_pi_group(s4, [2**31]),
+        lambda: ls.is_pi_group(s4, [4]),
+    ]
+    for call in calls:
+        with pytest.raises(ls.BadArgument) as info:
+            call()
+        assert isinstance(info.value, ls.GroupError) and isinstance(info.value, ValueError)
 
 
 def test_quotient_group_is_homomorphic_image(s4):

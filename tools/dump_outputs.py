@@ -10,6 +10,8 @@ both; to compare a change with its parent, run it in each (for example in a
 `git archive` of the parent, with this file copied into its tools/).  The
 families, each hashed over all 243 groups in corpus order:
 
+    tables             order, table bytes, labels and display_name of G
+                       (element order included, since indices follow it)
     normal_subgroups   normal_subgroups of G and of every member of the
                        deterministic composition chain
     centralizers       centralizer of each normal subgroup of G
@@ -53,7 +55,7 @@ SELECTORS = (
     "A:quasinilpotent",
     "C:quasinilpotent",
 )
-FAMILIES = ("normal_subgroups", "centralizers", "series", "invariants", "reports")
+FAMILIES = ("tables", "normal_subgroups", "centralizers", "series", "invariants", "reports")
 
 
 def _chain(series) -> list:
@@ -78,6 +80,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         counts[family] += 1
 
     for G in corpus:
+        put("tables", [G.order, G.table.tobytes().hex(), G.labels, G.display_name])
         normals = ls.normal_subgroups(G)
         for H in ls.composition_series(G).chain:
             put("normal_subgroups", [N.elements for N in ls.normal_subgroups(H)])
