@@ -45,11 +45,18 @@ class ClosureFlags:
 class ClassPredicate:
     """member takes a group or a Subgroup of one, like the structure
     functions; every built-in test works in the parent's table.
-    maximal_normal_members needs the normal_subgroups flag."""
+    maximal_normal_members needs the normal_subgroups flag.
+
+    simple_rule, when set, decides membership of a simple group from its
+    set of prime divisors alone (a frozenset of ints), so that
+    in_extension_closure needs no factor group.  Only builtin_class sets
+    it; a class left without one is tested on the composition factor
+    groups."""
 
     name: str
     member: Callable[[FiniteGroup | Subgroup], bool]
     closed_under: ClosureFlags
+    simple_rule: Callable[[frozenset[int]], bool] | None = None
 
 
 # -- membership tests --------------------------------------------------------
@@ -123,9 +130,29 @@ def is_pi_separable(G: FiniteGroup, pi) -> bool:
     """Every composition factor is a pi-group or a pi'-group.  A chief
     factor is a power of a simple group with the same primes, so the chief
     factor orders decide it without building any factor group."""
-    primes = set(_validate_pi(pi))
-    factor_primes = (set(prime_factors(o)) for o in chief_series(G).factor_orders)
-    return all(ps <= primes or ps.isdisjoint(primes) for ps in factor_primes)
+    return all(map(_pi_or_pi_prime(_validate_pi(pi)), _chief_factor_primes(G)))
+
+
+def _chief_factor_primes(G):
+    # the prime set of each chief factor T^k, which is that of its simple T
+    return (frozenset(prime_factors(o)) for o in chief_series(G).factor_orders)
+
+
+def _pi_or_pi_prime(primes):
+    # the simple-factor rule of the pi-separable and normal-Hall-pi' classes
+    primes = frozenset(primes)
+    return lambda ps: ps <= primes or ps.isdisjoint(primes)
+
+
+def _abelian_simple(ps) -> bool:
+    # the simple-factor rule of the soluble classes: each holds C_p, the one
+    # simple group with a single prime, and no other simple group
+    return len(ps) == 1
+
+
+def _any_simple(ps) -> bool:
+    # every simple group is quasinilpotent
+    return True
 
 
 def has_normal_hall_pi_prime(G: FiniteGroup, pi) -> bool:
@@ -166,11 +193,21 @@ def in_extension_closure(X: ClassPredicate, G: FiniteGroup) -> bool:
 
     For classes closed under normal subgroups this is exactly membership in
     the extension closure of X; the flag is required so the criterion is
-    known to be sound."""
+    known to be sound.
+
+    A class with a simple_rule is decided from the chief factor orders, and
+    no factor group is built.  A chief factor is T^k for one simple group T,
+    its composition factors are k copies of T, and |T^k| has the primes of
+    |T|.  A chief factor of prime-power order is elementary abelian, so T is
+    C_p; any other is nonabelian, since a soluble chief factor has
+    prime-power order.  A class without a rule is tested on the composition
+    factor groups."""
     if not X.closed_under.normal_subgroups:
         raise ClosureNotDeclared(
             f"class {X.name!r} does not declare closure under normal subgroups"
         )
+    if X.simple_rule is not None:
+        return all(map(X.simple_rule, _chief_factor_primes(G)))
     return all(X.member(F) for F in composition_factors(G))
 
 
@@ -229,9 +266,9 @@ def builtin_class(key: str) -> ClassPredicate:
             raise UnknownClass(f"bad prime set {param!r} for class {name!r}: {exc}")
 
     if name == "abelian":
-        return ClassPredicate("abelian", is_abelian, _BOUNDED_FLAGS)
+        return ClassPredicate("abelian", is_abelian, _BOUNDED_FLAGS, _abelian_simple)
     if name == "nilpotent":
-        return ClassPredicate("nilpotent", is_nilpotent, _ALL_CLOSED)
+        return ClassPredicate("nilpotent", is_nilpotent, _ALL_CLOSED, _abelian_simple)
     if name == "nilpotent_class":
         c = want_int()
         if c < 1:
@@ -240,9 +277,10 @@ def builtin_class(key: str) -> ClassPredicate:
             f"nilpotent_class:{c}",
             lambda G, c=c: (lambda k: k is not None and k <= c)(nilpotency_class(G)),
             _BOUNDED_FLAGS,
+            _abelian_simple,
         )
     if name == "soluble":
-        return ClassPredicate("soluble", is_soluble, _ALL_CLOSED)
+        return ClassPredicate("soluble", is_soluble, _ALL_CLOSED, _abelian_simple)
     if name == "soluble_derived":
         d = want_int()
         if d < 1:
@@ -251,21 +289,24 @@ def builtin_class(key: str) -> ClassPredicate:
             f"soluble_derived:{d}",
             lambda G, d=d: (lambda k: k is not None and k <= d)(derived_length(G)),
             _BOUNDED_FLAGS,
+            _abelian_simple,
         )
     if name == "supersoluble":
         return ClassPredicate(
             "supersoluble",
             is_supersoluble,
             replace(_ALL_CLOSED, fitting_class=False),
+            _abelian_simple,
         )
     if name == "quasinilpotent":
-        return ClassPredicate("quasinilpotent", is_quasinilpotent, _ALL_CLOSED)
+        return ClassPredicate("quasinilpotent", is_quasinilpotent, _ALL_CLOSED, _any_simple)
     if name == "pi_separable":
         primes = want_pi()
         return ClassPredicate(
             f"pi_separable:{','.join(map(str, primes))}",
             lambda G, primes=primes: is_pi_separable(G, primes),
             _ALL_CLOSED,
+            _pi_or_pi_prime(primes),
         )
     if name == "normal_hall_pi_prime":
         primes = want_pi()
@@ -273,6 +314,7 @@ def builtin_class(key: str) -> ClassPredicate:
             f"normal_hall_pi_prime:{','.join(map(str, primes))}",
             lambda G, primes=primes: has_normal_hall_pi_prime(G, primes),
             _ALL_CLOSED,
+            _pi_or_pi_prime(primes),
         )
     raise UnknownClass(f"unknown class key {key!r}")
 

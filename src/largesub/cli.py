@@ -241,9 +241,11 @@ def _selector_from_args(args) -> str:
 
 def cmd_verify(args) -> int:
     selector = _selector_from_args(args)
-    reports = [verify_selector(G, selector) for G in _load_target(args.target)]
     counts = {"pass": 0, "skip": 0, "fail": 0}
-    for report in reports:
+    # each record is printed as soon as it is built, so a group that raises
+    # leaves the records before it on stdout
+    for G in _load_target(args.target):
+        report = verify_selector(G, selector)
         counts[report.outcome] += 1
         if args.format == "jsonl":
             print(json.dumps(report.to_dict(), separators=(",", ":")))

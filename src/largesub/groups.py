@@ -403,10 +403,7 @@ def _integer_table(table, limit: int | None = None) -> np.ndarray:
     arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotAGroup("table must be a nonempty square matrix")
-    integers = arr.dtype.kind in "iu" or (
-        arr.dtype == object
-        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat)
-    )
+    integers = arr.dtype.kind in "iu" or (arr.dtype == object and all(map(_is_integer, arr.flat)))
     if not integers:
         raise NotAGroup("table entries must be integers")
     try:
@@ -419,6 +416,11 @@ def _integer_table(table, limit: int | None = None) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         raise NotAGroup(f"table entries must lie in 0..{n - 1}")
     return arr
+
+
+def _is_integer(v) -> bool:
+    # a Python or numpy integer; bool is an int subclass but not an integer here
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _normalize_identity(table: np.ndarray, labels):
@@ -466,10 +468,12 @@ def from_permutation_generators(gens, *, name=None, cap=None) -> FiniteGroup:
     mapped through right multiplication by g.  That costs n * |gens|
     compositions and n column gathers, not n**2 compositions.
     """
-    try:
-        gens = [tuple(int(i) for i in g) for g in gens]
-    except ValueError as exc:  # a string that is not an integer
-        raise NotAGroup(str(exc)) from exc
+    gens = [tuple(g) for g in gens]
+    # refused, not converted, as in _integer_table: int() would truncate
+    # floats, parse strings and read booleans as 0 and 1
+    if not all(_is_integer(i) for g in gens for i in g):
+        raise NotAGroup("permutation images must be integers")
+    gens = [tuple(map(int, g)) for g in gens]
     if not gens:
         raise NotAGroup("no generators given")
     degree = len(gens[0])

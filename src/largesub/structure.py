@@ -18,7 +18,9 @@ maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  The normal
 structure functions and the series take a group or a Subgroup H of it and
 work on the parent's table, memoizing H's results on the parent.  Only the
-composition factors build groups: induced groups and their quotients.
+composition factors build groups, induced groups and their quotients, and
+only a class defined by a user needs them: in_extension_closure decides the
+built-in classes from the chief factor orders.
 """
 
 from __future__ import annotations

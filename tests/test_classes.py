@@ -208,6 +208,53 @@ def test_extension_closure(s4, a5):
     assert ls.in_extension_closure(nilpotent, s4)
 
 
+def test_extension_closure_of_builtin_classes_builds_no_group(monkeypatch):
+    # fresh groups, so no composition factor is cached from another test
+    groups = [
+        ls.symmetric_group(4),
+        ls.alternating_group(5),
+        ls.special_linear_2_3(),
+        ls.direct_product(ls.alternating_group(5), ls.cyclic_group(6)),
+    ]
+    keys = (
+        "abelian",
+        "nilpotent",
+        "nilpotent_class:2",
+        "soluble",
+        "soluble_derived:2",
+        "supersoluble",
+        "quasinilpotent",
+        "pi_separable:2,3",
+        "normal_hall_pi_prime:2",
+    )
+    built = []
+    init = ls.FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ls.FiniteGroup, "__init__", counting_init)
+    for X in map(ls.builtin_class, keys):
+        for G in groups:
+            ls.in_extension_closure(X, G)
+    assert built == []
+
+
+def test_extension_closure_of_user_classes_tests_factor_groups():
+    seen = []
+
+    def member(F):
+        seen.append(F)
+        return ls.is_soluble(F)
+
+    user = ls.ClassPredicate("user_soluble", member, ls.ClosureFlags(normal_subgroups=True))
+    assert user.simple_rule is None
+    assert ls.in_extension_closure(user, ls.symmetric_group(4))
+    assert [F.order for F in seen] == [2, 3, 2, 2]
+    assert all(isinstance(F, ls.FiniteGroup) for F in seen)
+
+
 def test_extension_closure_needs_declared_flag(s4):
     bare = ls.ClassPredicate("mystery", ls.is_abelian, ls.ClosureFlags())
     with pytest.raises(ls.ClosureNotDeclared):

@@ -181,6 +181,17 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert "summary: 2 pass, 1 skip, 0 fail" in out
 
 
+def test_verify_prints_records_before_an_error(capsys, tmp_path):
+    # claim B on C7 x C7 needs a cover of order 2401, above the default cap
+    path = tmp_path / "raises.jsonl"
+    C7 = ls.cyclic_group(7)
+    write_corpus(path, [ls.cyclic_group(2), ls.direct_product(C7, C7), ls.cyclic_group(3)])
+    code, out, err = run(capsys, "verify", "--claim", "B", str(path), "--format", "jsonl")
+    assert code == 2
+    assert [r["order"] for r in jsonl(out)] == [2]
+    assert "exceeds the cap" in err
+
+
 def test_verify_counterexample_exit_code(capsys, tmp_path, monkeypatch):
     # no true claim fails on the shipped corpus, so exercise the failure
     # path with a stubbed verifier

@@ -2,7 +2,9 @@
 residual are read off the canonical normal-subgroup list without building
 any quotient.  Each is checked here against the quotient-group definition
 it replaced, which the library keeps for user predicates
-(class_residual, composition_factors, quotient_group).
+(class_residual, composition_factors, quotient_group).  Whether a group
+is assembled from a built-in class is read off its chief factor orders,
+and is checked against membership of its composition factor groups.
 
 The normal structure of a subgroup S (classes, normal subgroups, minimal
 and maximal normals, simplicity, quasi-simplicity) and the composition
@@ -157,6 +159,39 @@ def test_class_membership_in_the_parent_matches_induced_groups(groups):
             members = [N for N in normals if X.member(induced[N])]
             expected = [N for N in members if not any(N < M for M in members)]
             assert ls.maximal_normal_members(G, X) == expected, (G.display_name, X.name)
+
+
+# every built-in key, with bound variants and the prime sets whose rule
+# looks at the primes of each simple factor
+EXTENSION_KEYS = (
+    "abelian",
+    "nilpotent",
+    "nilpotent_class:1",
+    "nilpotent_class:2",
+    "soluble",
+    "soluble_derived:1",
+    "soluble_derived:2",
+    "supersoluble",
+    "quasinilpotent",
+    *(f"{name}:{','.join(map(str, pi))}"
+      for pi in PRIME_SETS for name in ("pi_separable", "normal_hall_pi_prime")),
+)
+
+
+def test_extension_closure_matches_composition_factor_groups(groups):
+    # the chief-factor rule of the built-in classes against membership of
+    # every composition factor group, on G and on the induced group of each
+    # normal subgroup of G
+    classes = [ls.builtin_class(key) for key in EXTENSION_KEYS]
+    assert all(X.simple_rule is not None for X in classes)
+    for G in map(_fresh, groups):
+        for H in [G, *(ls.subgroup_as_group(G, N)[0] for N in ls.normal_subgroups(G))]:
+            factors = ls.composition_factors(H)
+            for X in classes:
+                expected = all(X.member(F) for F in factors)
+                assert ls.in_extension_closure(X, H) == expected, (
+                    G.display_name, H.order, X.name
+                )
 
 
 def test_class_membership_builds_no_group(small_zoo, monkeypatch):

@@ -35,6 +35,6 @@ def test_dump_families_and_counts():
         "invariants": 12,
         "reports": len(tool.SELECTORS),
     }
-    assert len(tool.SELECTORS) == 10
+    assert len(tool.SELECTORS) == 12
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

@@ -224,6 +224,28 @@ def test_permutation_generators():
         ls.from_permutation_generators([])
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [[1.7, 0.2, 2]],  # int() would truncate this to the transposition (1 0 2)
+        [[1.0, 0.0]],
+        [[True, False]],  # ... and read booleans as 0 and 1
+        [[np.float64(1), np.float64(0)]],
+        [[np.bool_(True), np.bool_(False)]],
+        [["1", "0"]],  # ... and parse strings
+        [[1, 0], [0, 1.0]],  # a bad entry in a later generator
+    ],
+)
+def test_permutation_generators_reject_non_integer_images(gens):
+    with pytest.raises(ls.NotAGroup, match="must be integers"):
+        ls.from_permutation_generators(gens)
+
+
+def test_permutation_generators_accept_integer_types():
+    gens = [np.array([1, 2, 0]), [np.int64(1), np.uint8(0), 2]]
+    assert ls.from_permutation_generators(gens).order == 6
+
+
 def test_permutation_closure_respects_cap():
     # 5-cycle and transposition generate all of S5
     with pytest.raises(ls.OrderCapExceeded):

@@ -22,8 +22,9 @@ families, each hashed over all 243 groups in corpus order:
     reports            exit code and stdout of `largesub verify --format
                        jsonl` over a corpus file of all the groups, one
                        value per selector: every selector of the claims
-                       benchmark plus H, C:supersoluble, A:quasinilpotent
-                       and C:quasinilpotent
+                       benchmark plus H, C:supersoluble, A:quasinilpotent,
+                       C:quasinilpotent, A:pi_separable:2,3 and
+                       A:normal_hall_pi_prime:2
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -54,6 +55,8 @@ SELECTORS = (
     "C:supersoluble",
     "A:quasinilpotent",
     "C:quasinilpotent",
+    "A:pi_separable:2,3",
+    "A:normal_hall_pi_prime:2",
 )
 FAMILIES = ("tables", "normal_subgroups", "centralizers", "series", "invariants", "reports")
 
