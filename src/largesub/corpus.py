@@ -14,10 +14,18 @@ Structural problems (bad JSON, wrong field shapes) raise CorpusFormatError
 with the line number.  Semantic problems (a table that is not a group) are
 left to the builders, so callers can distinguish unreadable files from
 readable files containing non-groups.
+
+CorpusRecord.data is the parsed JSON object, except that a table record's
+"table" is usually a flat int64 numpy array rather than a list: the entry
+check converts the entries in one pass, and build reshapes that array
+without copying.  It stays the parsed list when the line contains a JSON
+true or false (so that booleans are told apart from 0 and 1) or an integer
+beyond 64 bits.
 """
 
 from __future__ import annotations
 
+import array
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +68,20 @@ def _expect(cond: bool, message: str, line_no: int) -> None:
         raise CorpusFormatError(message, line_no)
 
 
+def _integer_entries(values: list, text: str) -> np.ndarray | list | None:
+    # The entries as a flat int64 array, or as the list itself, or None if
+    # one is not an integer.  array("q") takes ints and bools that fit in 64
+    # bits and refuses every other JSON value; a bool can only come from a
+    # true or false literal in the line.  Otherwise (or past 64 bits) the
+    # entries are tested one by one and the list is kept for the builder.
+    if "true" not in text and "false" not in text:
+        try:
+            return np.frombuffer(array.array("q", values), dtype=np.int64)
+        except (TypeError, OverflowError):
+            pass
+    return values if all(type(v) is int for v in values) else None
+
+
 def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
     """Parse corpus lines into records, validating shapes as we go."""
     for line_no, raw in enumerate(lines, start=1):
@@ -97,11 +119,9 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
                 f"table must be a flat list of {order}*{order} entries",
                 line_no,
             )
-            _expect(
-                all(type(v) is int for v in table),
-                "table entries must be integers",
-                line_no,
-            )
+            table = _integer_entries(table, text)
+            _expect(table is not None, "table entries must be integers", line_no)
+            data["table"] = table
         else:
             degree = data.get("degree")
             _expect(

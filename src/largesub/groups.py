@@ -106,7 +106,11 @@ class FiniteGroup:
     table[a, b] is the index of the product a*b; index 0 is the identity.
     Optional labels name the elements for display; name labels the group.
     The identity and inverses are always checked; trusted=True, for tables
-    built from groups, skips the Latin and associativity checks.
+    built from groups, skips the Latin and associativity checks.  Untrusted
+    tables get Light's associativity test first, which proves a table with
+    identity and inverses a group (hence Latin) when it passes; the Latin
+    check runs only when it fails, so errors and witnesses are those of
+    the Latin check followed by the associativity check.
     """
 
     __slots__ = ("order", "name", "labels", "_table", "_inv", "_cache")
@@ -133,8 +137,7 @@ class FiniteGroup:
         self._table = table
         self._inv = _identity_and_inverses(table)
         if not trusted:
-            _latin_check(table)
-            _associativity_check(table)
+            _latin_and_associativity_check(table)
         self._cache: dict = {}
 
     # -- element arithmetic -------------------------------------------------
@@ -208,19 +211,19 @@ class FiniteGroup:
             raise NotClosed(
                 f"set is not closed: product of {elems[a]} and {elems[b]} escapes"
             )
-        return Subgroup(self, elems)
+        return Subgroup._sorted(self, tuple(elems))
 
     def whole(self) -> Subgroup:
-        return Subgroup(self, range(self.order))
+        return Subgroup._sorted(self, tuple(range(self.order)))
 
     def trivial(self) -> Subgroup:
-        return Subgroup(self, (0,))
+        return Subgroup._sorted(self, (0,))
 
     def closure_of(self, seed) -> Subgroup:
         seed = np.asarray(sorted(set(int(s) for s in seed)), dtype=np.int64)
         if seed.size and (seed.min() < 0 or seed.max() >= self.order):
             raise UnknownName(f"seed indices must lie in 0..{self.order - 1}")
-        return Subgroup(self, _close(self._table, _EMPTY, seed))
+        return Subgroup._sorted(self, tuple(_close(self._table, _EMPTY, seed).tolist()))
 
     def __repr__(self):
         return f"<FiniteGroup {self.display_name!r} of order {self.order}>"
@@ -236,8 +239,18 @@ class Subgroup:
     __slots__ = ("parent", "elements", "_set")
 
     def __init__(self, parent: FiniteGroup, elements):
+        self._fill(parent, tuple(sorted(set(int(e) for e in elements))))
+
+    @classmethod
+    def _sorted(cls, parent: FiniteGroup, elems: tuple[int, ...]) -> Subgroup:
+        # for internal callers that already hold a sorted tuple of distinct
+        # Python ints (a closure's flatnonzero via tolist(), say)
+        S = cls.__new__(cls)
+        S._fill(parent, elems)
+        return S
+
+    def _fill(self, parent: FiniteGroup, elems: tuple[int, ...]) -> None:
         self.parent = parent
-        elems = tuple(sorted(set(int(e) for e in elements)))
         if not elems or elems[0] != 0:
             raise BadArgument("a subgroup must contain the identity")
         if parent.order % len(elems) != 0:
@@ -340,31 +353,41 @@ def _latin_check(table: np.ndarray) -> None:
         raise NotAGroup(f"column {c} repeats a product", witness=("column", c))
 
 
-def _light_generators(table: np.ndarray) -> list[int]:
-    # Greedy generators: the least index outside the closure so far.  Each
-    # closure is a subquasigroup of the Latin square, so each step at least
-    # doubles it and there are at most floor(log2 n) generators.
-    inside = np.zeros(table.shape[0], dtype=bool)
+def _light_generators(table: np.ndarray) -> list[int] | None:
+    # Greedy generators: the least index outside the closure so far.  In a
+    # Latin square each closure S is a subquasigroup, and S*g misses S for
+    # g outside it, so each step at least doubles the closure and there are
+    # at most floor(log2 n) generators.  None when more are needed, which
+    # proves the table is not Latin.
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
     inside[0] = True
     gens: list[int] = []
     while not inside.all():
+        if len(gens) == n.bit_length() - 1:
+            return None
         g = int(np.argmin(inside))
         gens.append(g)
         inside[_close(table, np.flatnonzero(inside), np.asarray([g]))] = True
     return gens
 
 
-def _associativity_check(table: np.ndarray) -> None:
+def _latin_and_associativity_check(table: np.ndarray) -> None:
     # Light's test: the elements g with (a*g)*c == a*(g*c) for all a, c
     # contain the identity and are closed under products, so checking them
-    # on a generating set proves the whole table associative.  Only when a
-    # generator fails does the lexicographic scan below run, so the witness
-    # is always the first failing triple (a, b, c).
-    if all(
-        np.array_equal(table[table[:, g]], table[:, table[g]])
-        for g in _light_generators(table)
+    # on a generating set proves the whole table associative.  With the
+    # identity at 0 and two-sided inverses (checked first) it is then a
+    # group, hence Latin.  Only when the greedy generators run out or one
+    # of them fails do the Latin check and the lexicographic scan below
+    # run, in that order, so the error is the one the Latin check and an
+    # exhaustive scan would report: the first bad row or column, else the
+    # first failing triple (a, b, c).
+    gens = _light_generators(table)
+    if gens is not None and all(
+        np.array_equal(table[table[:, g]], table[:, table[g]]) for g in gens
     ):
         return
+    _latin_check(table)
     n = table.shape[0]
     for a in range(n):
         left = table[table[a]]          # (a*b)*c
@@ -374,6 +397,9 @@ def _associativity_check(table: np.ndarray) -> None:
             raise NotAGroup(
                 f"associativity fails at ({a}, {b}, {c})", witness=(a, int(b), int(c))
             )
+    # unreachable: a failing generator g has a failing triple (a, g, c), and
+    # a Latin table has at most floor(log2 n) greedy generators
+    raise AssertionError("Light's test failed on an associative Latin table")
 
 
 def validate_axioms(G: FiniteGroup) -> None:
@@ -383,12 +409,15 @@ def validate_axioms(G: FiniteGroup) -> None:
     Associativity is exact but not cubic (Light's test): it is checked for
     every (a, g, c) with g in a greedy generating set of at most
     floor(log2 n) elements, and the elements that pass are closed under
-    products, so passing on generators means passing everywhere.  On
-    failure the witness is the first failing triple (a, b, c) in
-    lexicographic order, as an exhaustive scan would report it."""
+    products, so passing on generators means passing everywhere.  A table
+    that passes is a group and so Latin; the Latin check runs only when
+    Light's test fails (or the generating set outgrows floor(log2 n),
+    which no Latin table does).  On failure the error is unchanged by this
+    order: the first repeating row, else the first repeating column, else
+    the first failing triple (a, b, c) in lexicographic order, as an
+    exhaustive scan would report it."""
     _identity_and_inverses(G.table)
-    _latin_check(G.table)
-    _associativity_check(G.table)
+    _latin_and_associativity_check(G.table)
 
 
 # -- constructors -----------------------------------------------------------
@@ -424,18 +453,23 @@ def _is_integer(v) -> bool:
 
 
 def _normalize_identity(table: np.ndarray, labels):
+    # A two-sided identity e has e*0 == 0, and a table has at most one, so
+    # only the rows with 0 in column 0 are candidates.  Relabelling by the
+    # transposition (0 e) is one value gather plus two row and column swaps.
     n = table.shape[0]
     idx = np.arange(n)
-    two_sided = (table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0)
-    if not two_sided.any():
+    for e in np.flatnonzero(table[:, 0] == 0).tolist():
+        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
+            break
+    else:
         raise NotAGroup("no two-sided identity element", witness=None)
-    identity = int(np.argmax(two_sided))
-    if identity == 0:
+    if e == 0:
         return table, labels
     perm = idx.copy()
-    perm[[0, identity]] = perm[[identity, 0]]
-    # perm is an involution, so it is its own inverse relabelling
-    relabeled = perm[table[np.ix_(perm, perm)]]
+    perm[[0, e]] = perm[[e, 0]]
+    relabeled = perm[table]
+    relabeled[[0, e]] = relabeled[[e, 0]]
+    relabeled[:, [0, e]] = relabeled[:, [e, 0]]
     if labels is not None:
         labels = tuple(labels[p] for p in perm)
     return relabeled, labels

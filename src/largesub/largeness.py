@@ -40,6 +40,7 @@ prime set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .classes import (
     ClassPredicate,
@@ -221,6 +222,15 @@ def verify_maximal_member_large(G: FiniteGroup, X: ClassPredicate) -> Verificati
     return _finish(report)
 
 
+@cache
+def _abelian_samples() -> tuple[FiniteGroup, ...]:
+    # the abelian groups claim C tests X on, built once per process
+    from .catalog import klein_four_group
+    from .groups import cyclic_group
+
+    return (cyclic_group(2), cyclic_group(6), klein_four_group())
+
+
 def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> VerificationReport:
     """Claim C: like A, but X only needs to be a solubly saturated formation
     closed under normal subgroups and containing the abelian groups."""
@@ -238,12 +248,8 @@ def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> Verifica
             f"class {X.name!r} lacks declared flags: {', '.join(missing)}"
         )
     report = VerificationReport("C", G.display_name, G.order)
-    from .catalog import klein_four_group
-    from .groups import cyclic_group
-
-    samples = (cyclic_group(2), cyclic_group(6), klein_four_group())
     report.hypotheses.append(
-        ("contains_abelian_samples", all(X.member(A) for A in samples))
+        ("contains_abelian_samples", all(X.member(A) for A in _abelian_samples()))
     )
     report.hypotheses.append((f"assembled_from_{X.name}", in_extension_closure(X, G)))
     if report.hypotheses_ok:

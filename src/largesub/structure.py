@@ -132,7 +132,7 @@ def centralizer(G: FiniteGroup, elements) -> Subgroup:
     ok = np.ones(G.order, dtype=bool)
     for s in generating_subset(G, elements):
         ok &= table[:, s] == table[s, :]
-    return Subgroup(G, np.flatnonzero(ok))
+    return Subgroup._sorted(G, tuple(np.flatnonzero(ok).tolist()))
 
 
 def center(x) -> Subgroup:
@@ -147,7 +147,7 @@ def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
     b = _elements_array(G, second)
     table, inv = G.table, G.inverses
     comms = np.unique(table[table[inv[a][:, None], inv[b]], table[a[:, None], b]])
-    return Subgroup(G, _close(table, np.empty(0, dtype=np.int64), comms))
+    return Subgroup._sorted(G, tuple(_close(table, _EMPTY, comms).tolist()))
 
 
 def normal_closure(x, seed) -> Subgroup:
@@ -158,13 +158,14 @@ def normal_closure(x, seed) -> Subgroup:
     G, hs = H.parent, H.as_array()
     seed = _elements_array(G, seed)
     conj = G.table[G.table[hs[:, None], seed], G.inverses[hs][:, None]]
-    return Subgroup(G, _close(G.table, _EMPTY, np.unique(conj)))
+    return Subgroup._sorted(G, tuple(_close(G.table, _EMPTY, np.unique(conj)).tolist()))
 
 
 def join(first: Subgroup, second: Subgroup) -> Subgroup:
     if first.parent is not second.parent:
         raise ForeignSubgroup("subgroups of different parents")
-    return Subgroup(first.parent, _close(first.parent.table, first.as_array(), second.as_array()))
+    closed = _close(first.parent.table, first.as_array(), second.as_array())
+    return Subgroup._sorted(first.parent, tuple(closed.tolist()))
 
 
 def intersect(first: Subgroup, second: Subgroup) -> Subgroup:
@@ -227,7 +228,7 @@ def _normals(H: Subgroup) -> list[Subgroup]:
                 product |= rows[i]
             found.add(product)
     members = [tuple(sorted(x for i in _bits(N) for x in classes[i])) for N in found]
-    return [Subgroup(G, t) for t in sorted(members, key=lambda t: (len(t), t))]
+    return [Subgroup._sorted(G, t) for t in sorted(members, key=lambda t: (len(t), t))]
 
 
 def minimal_normal_subgroups(x) -> list[Subgroup]:

@@ -180,3 +180,29 @@ def permutation_group(gens, cap):
     ]
     labels = tuple("(" + " ".join(map(str, p)) + ")" for p in elems)
     return table, labels
+
+
+def integer_entries(values):
+    """The corpus reader's table entry check, one Python type test per
+    entry: the parsed list when every entry is an int, else None.  JSON
+    true and false load as bool, a subclass of int, and do not count."""
+    return values if all(type(v) is int for v in values) else None
+
+
+def axiom_failure(table):
+    """(message, witness) of the first failed axiom of a table whose index 0
+    is a two-sided identity with two-sided inverses, checked in the order
+    the library reports them: a row repeating a product, a column repeating
+    one, a triple (a, b, c) with (ab)c != a(bc) in lexicographic order.
+    None for a group."""
+    n = len(table)
+    for r in range(n):
+        if len(set(table[r])) < n:
+            return f"row {r} repeats a product", ("row", r)
+    for c in range(n):
+        if len({table[r][c] for r in range(n)}) < n:
+            return f"column {c} repeats a product", ("column", c)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"associativity fails at ({a}, {b}, {c})", (a, b, c)
+    return None

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import largesub as ls
+import oracles
 from largesub.corpus import (
     CorpusRecord,
     dump_record,
@@ -151,3 +155,94 @@ def test_record_for_group_is_flat_row_major():
 def test_read_records_reports_path_problems(tmp_path):
     with pytest.raises(OSError):
         read_records(tmp_path / "missing.jsonl")
+
+
+# -- the one-pass entry conversion ----------------------------------------------
+
+
+def _outcome(build):
+    """The built table's bytes, or the class, message and witness of the
+    error that parsing or building raises."""
+    try:
+        G = build()
+    except ls.GroupError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return G.table.tobytes()
+
+
+def _reader_outcome(line):
+    return _outcome(lambda: next(iter_records([line])).build())
+
+
+def _oracle_outcome(line):
+    # the per-entry type check, then the parsed list handed to build
+    data = json.loads(line)
+    if oracles.integer_entries(data["table"]) is None:
+        return "CorpusFormatError", "line 1: table entries must be integers", None
+    rec = CorpusRecord(kind="table", name=data.get("name"), line_no=1, data=data)
+    return _outcome(rec.build)
+
+
+def _c2(entries, name="c2"):
+    return json.dumps({"kind": "table", "name": name, "order": 2, "table": entries})
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _c2([0, 1, 1, True]),
+        _c2([False, 1, 1, 0]),
+        _c2([0, 1, 1, 1.0]),
+        '{"kind":"table","order":2,"table":[0,1,1,1e0]}',
+        _c2([0, 1, 1, "1"]),
+        _c2([0, 1, 1, None]),
+        _c2([0, 1, 1, [1]]),
+        _c2([0, 1, 1, -1]),
+        _c2([0, 1, 1, 2**70]),
+        _c2([0, 1, 2**63, 0]),
+        _c2([0, 1, 1, 0], name="true"),  # takes the per-entry check, still builds
+        _c2([0, 1, 1, 0]),
+    ],
+)
+def test_entry_conversion_matches_per_entry_check(line):
+    assert _reader_outcome(line) == _oracle_outcome(line)
+
+
+def test_entries_become_an_int64_array_unless_a_literal_could_be_a_bool():
+    (rec,) = iter_records([_c2([0, 1, 1, 0])])
+    assert rec.data["table"].dtype == np.int64
+    assert rec.data["table"].tolist() == [0, 1, 1, 0]
+    (named,) = iter_records([_c2([0, 1, 1, 0], name="true")])
+    assert named.data["table"] == [0, 1, 1, 0]
+    assert (named.build().table == rec.build().table).all()
+
+
+_ENTRY = st.one_of(
+    st.integers(0, 2),
+    st.integers(0, 2),  # listed twice, so that more draws are valid entries
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["1", "", "true"]),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(_ENTRY, min_size=n * n, max_size=n * n))
+    ),
+    st.sampled_from([None, "c", "true", "false"]),
+    st.booleans(),
+)
+def test_entry_conversion_matches_per_entry_check_on_mixed_lists(drawn, name, cyclic):
+    # either a free list of mixed entries or the table of C_n with a few
+    # entries replaced, so that most draws reach the builder
+    n, entries = drawn
+    if cyclic:
+        base = [(a + b) % n for a in range(n) for b in range(n)]
+        entries = [e if i % 3 == 2 else base[i] for i, e in enumerate(entries)]
+    line = json.dumps({"kind": "table", "name": name, "order": n, "table": entries})
+    assert _reader_outcome(line) == _oracle_outcome(line)

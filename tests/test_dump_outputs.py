@@ -20,13 +20,14 @@ def test_dump_families_and_counts():
     corpus = [ls.alternating_group(5), ls.symmetric_group(3), ls.special_linear_2_3()]
     result = tool.dump(corpus)
     assert tuple(result) == (
-        "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports"
+        "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports", "ingest"
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
     # chain member (2 + 3 + 5); centralizers: one per normal subgroup of G
     # (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
-    # one CLI run per selector
+    # one CLI run per selector; ingest: one record per group plus the
+    # malformed ones
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -34,7 +35,9 @@ def test_dump_families_and_counts():
         "series": 3,
         "invariants": 12,
         "reports": len(tool.SELECTORS),
+        "ingest": 3 + len(tool.MALFORMED_RECORDS),
     }
     assert len(tool.SELECTORS) == 12
+    assert len(tool.MALFORMED_RECORDS) == 14
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

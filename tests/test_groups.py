@@ -48,7 +48,9 @@ def test_validate_axioms_on_trusted_constructions(small_zoo):
 
 
 def test_latin_check_runs_only_on_untrusted_tables(monkeypatch):
-    # a fresh group, so no induced group or quotient is served from a cache
+    # and there only when Light's test fails: a table that passes it is a
+    # group, hence Latin.  A fresh group, so no induced group or quotient
+    # is served from a cache
     s4 = ls.FiniteGroup(ls.symmetric_group(4).table, name="s4", trusted=True)
     calls = []
     real = groups._latin_check
@@ -60,6 +62,9 @@ def test_latin_check_runs_only_on_untrusted_tables(monkeypatch):
     groups.direct_product(s4, ls.cyclic_group(2))
     assert calls == []
     ls.from_multiplication_table(ls.cyclic_group(3).table.tolist())
+    assert calls == []
+    with pytest.raises(ls.NotAGroup):
+        ls.from_multiplication_table(LOOP5)
     assert calls == [1]
 
 
@@ -80,6 +85,66 @@ def test_from_table_rejects_nonassociative_loop():
     with pytest.raises(ls.NotAGroup) as info:
         ls.from_multiplication_table(LOOP5)
     assert info.value.witness == (1, 1, 2)
+
+
+def test_table_neither_latin_nor_associative_fails_the_latin_check():
+    # C4 with 1*1 changed from 2 to 3: one greedy generator, which fails
+    # Light's test, and row 1 repeats 3
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    table[1][1] = 3
+    assert not oracles.is_associative(table)
+    with pytest.raises(ls.NotAGroup, match="row 1 repeats") as info:
+        ls.from_multiplication_table(table)
+    assert info.value.witness == ("row", 1)
+
+
+def test_too_many_greedy_generators_fail_the_latin_check():
+    # x*y = x for distinct nonzero x, y and x*x = 0: identity 0 and
+    # two-sided inverses, but each greedy generator adds one element, more
+    # than floor(log2 n) of them, which no Latin table needs
+    n = 8
+    table = [[b if a == 0 else (0 if a == b else a) for b in range(n)] for a in range(n)]
+    assert _light_generators(np.asarray(table)) is None
+    with pytest.raises(ls.NotAGroup, match="row 1 repeats") as info:
+        ls.from_multiplication_table(table)
+    assert info.value.witness == ("row", 1)
+    with pytest.raises(ls.NotAGroup, match="row 1 repeats"):
+        ls.validate_axioms(ls.FiniteGroup(table, trusted=True))
+
+
+@st.composite
+def _near_cyclic_tables(draw):
+    # C_n with a few moves that keep 0 as identity and x*(n-x) = 0 as the
+    # only zeros: overwrite a nonzero product, swap two nonzero products in
+    # a row (the columns break), or switch an intercalate (rows a, a+n/2 and
+    # columns b, b+n/2), which keeps the table Latin but rarely associative
+    n = draw(st.integers(2, 7))
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    h = n // 2
+    index = st.integers(1, n - 1)
+    moves = st.tuples(st.sampled_from(["set", "swap", "intercalate"]), index, index, index)
+    for kind, a, b, v in draw(st.lists(moves, min_size=1, max_size=4)):
+        if kind == "set":
+            if table[a][b]:
+                table[a][b] = v
+            continue
+        rows, c = ((a,), v) if kind == "swap" else ((a, (a + h) % n), (b + h) % n)
+        if c and all(r and table[r][b] and table[r][c] for r in rows):
+            for r in rows:
+                table[r][b], table[r][c] = table[r][c], table[r][b]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_cyclic_tables())
+def test_axiom_errors_follow_the_latin_then_associativity_order(table):
+    expected = oracles.axiom_failure(table)
+    if expected is None:
+        assert ls.from_multiplication_table(table).order == len(table)
+    else:
+        with pytest.raises(ls.NotAGroup) as info:
+            ls.from_multiplication_table(table)
+        assert (str(info.value), info.value.witness) == expected
 
 
 def _random_loop(rng, n):

@@ -25,6 +25,12 @@ families, each hashed over all 243 groups in corpus order:
                        benchmark plus H, C:supersoluble, A:quasinilpotent,
                        C:quasinilpotent, A:pi_separable:2,3 and
                        A:normal_hall_pi_prime:2
+    ingest             one JSONL table record per group, its elements
+                       renamed a -> a+1 mod n so the identity sits at 1
+                       (for n > 1), then the fixed MALFORMED_RECORDS; each
+                       parsed with iter_records and built, hashed as the
+                       table bytes or as the error's class, message and
+                       witness
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -40,6 +46,8 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 import largesub as ls  # noqa: E402
 from largesub import cli  # noqa: E402
@@ -58,7 +66,36 @@ SELECTORS = (
     "A:pi_separable:2,3",
     "A:normal_hall_pi_prime:2",
 )
-FAMILIES = ("tables", "normal_subgroups", "centralizers", "series", "invariants", "reports")
+FAMILIES = (
+    "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports", "ingest"
+)
+_LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
+# records the reader must refuse, or whose table the builder must refuse,
+# plus one valid table that the entry check reads the slow way
+MALFORMED_RECORDS = tuple(
+    '{"kind":"table","name":"%s","order":2,"table":[0,1,1,%s]}' % (name, last)
+    for name, last in (
+        ("bool", "true"),
+        ("float", "1.0"),
+        ("exponent", "1e0"),
+        ("string", '"1"'),
+        ("null", "null"),
+        ("list", "[1]"),
+        ("negative", "-1"),
+        ("wide", str(2**70)),
+        ("true", "0"),
+    )
+) + (
+    '{"kind":"table","name":"false_first","order":2,"table":[false,1,1,0]}',
+    # x*y = x for distinct nonzero x, y and x*x = 0: identity and inverses,
+    # too many greedy generators for a Latin table
+    '{"kind":"table","name":"not_latin","order":4,"table":[0,1,2,3,1,0,1,1,2,2,0,2,3,3,3,0]}',
+    # C4 with 1*1 = 3: neither Latin nor associative
+    '{"kind":"table","name":"bad_c4","order":4,"table":[0,1,2,3,1,3,3,0,2,3,0,1,3,0,1,2]}',
+    '{"kind":"table","name":"loop5","order":5,"table":%s}' % json.dumps(_LOOP5),
+    # x*y = -x-y mod 3: Latin, but no element is an identity
+    '{"kind":"table","name":"no_identity","order":3,"table":[0,2,1,2,1,0,1,0,2]}',
+)
 
 
 def _chain(series) -> list:
@@ -70,6 +107,23 @@ def _verify(path: Path, selector: str) -> list:
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify", "--claim", selector, str(path), "--format", "jsonl"])
     return [selector, code, out.getvalue()]
+
+
+def _moved_record(G) -> str:
+    # element a renamed (a + 1) mod n, so the reader has to move the
+    # identity back to 0
+    n = G.order
+    table = (np.roll(G.table, 1, axis=(0, 1)) + 1) % n
+    record = {"kind": "table", "name": G.name, "order": n, "table": table.ravel().tolist()}
+    return json.dumps(record, separators=(",", ":"))
+
+
+def _ingest(line: str) -> list:
+    try:
+        G = next(ls.iter_records([line])).build()
+    except ls.GroupError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "witness", None)]
+    return [G.order, G.table.tobytes().hex(), G.display_name]
 
 
 def dump(corpus) -> dict[str, tuple[int, str]]:
@@ -97,6 +151,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         ls.write_corpus(path, corpus)
         for selector in SELECTORS:
             put("reports", _verify(path, selector))
+    for line in [*map(_moved_record, corpus), *MALFORMED_RECORDS]:
+        put("ingest", _ingest(line))
     return {family: (counts[family], digests[family].hexdigest()) for family in FAMILIES}
 
 
