@@ -77,24 +77,32 @@ def pi_part(n: int, pi) -> int:
     return part
 
 
-def _close(table: np.ndarray, base: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def _close(
+    table: np.ndarray, base: np.ndarray, frontier: np.ndarray, *, conjugation_closed=False
+) -> np.ndarray:
     # Multiplicative closure of base | frontier, assuming base is already
-    # closed.  Finite order makes inverses appear on their own.
+    # closed.  Finite order makes inverses appear on their own.  The
+    # frontier may have any shape and repeat elements.  When base and
+    # frontier are both closed under conjugation by a subgroup containing
+    # them, so is every later frontier, and X*Y = Y*X for such sets:
+    # products on one side reach the same closure.
     n = table.shape[0]
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
     mask[base] = True
-    frontier = frontier[~mask[frontier]]
-    mask[frontier] = True
-    while frontier.size:
+    new_mask = np.zeros(n, dtype=bool)
+    new_mask[frontier] = True
+    while True:
+        new_mask &= ~mask
+        frontier = np.flatnonzero(new_mask)
+        if not frontier.size:
+            return np.flatnonzero(mask)
+        mask |= new_mask
         members = np.flatnonzero(mask)
         new_mask = np.zeros(n, dtype=bool)
         new_mask[table[members[:, None], frontier]] = True
-        new_mask[table[frontier[:, None], members]] = True
-        new_mask &= ~mask
-        mask |= new_mask
-        frontier = np.flatnonzero(new_mask)
-    return np.flatnonzero(mask)
+        if not conjugation_closed:
+            new_mask[table[frontier[:, None], members]] = True
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -116,16 +124,29 @@ class FiniteGroup:
     __slots__ = ("order", "name", "labels", "_table", "_inv", "_cache")
 
     def __init__(self, table, *, name: str | None = None, labels=None, trusted: bool = False):
-        if not trusted:
-            table = _integer_table(table)
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise NotAGroup("table must be square")
+        if trusted:
+            table = np.ascontiguousarray(table, dtype=np.int32)
+            if table.ndim != 2 or table.shape[0] != table.shape[1]:
+                raise NotAGroup("table must be square")
+            n = table.shape[0]
+            if n == 0:
+                raise NotAGroup("empty table")
+            if table.min() < 0 or table.max() >= n:
+                raise NotAGroup(f"table entries must lie in 0..{n - 1}")
+        else:  # a copy, as in from_multiplication_table
+            table = np.array(_integer_table(table), dtype=np.int32)
+        self._setup(table, name, labels, check_axioms=not trusted)
+
+    @classmethod
+    def _checked(cls, table: np.ndarray, name, labels) -> FiniteGroup:
+        # an int32 table made from _integer_table's, whose entries are
+        # checked already: only the axioms are left
+        G = cls.__new__(cls)
+        G._setup(table, name, labels, check_axioms=True)
+        return G
+
+    def _setup(self, table: np.ndarray, name, labels, *, check_axioms: bool) -> None:
         n = table.shape[0]
-        if n == 0:
-            raise NotAGroup("empty table")
-        if table.min() < 0 or table.max() >= n:
-            raise NotAGroup(f"table entries must lie in 0..{n - 1}")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -136,7 +157,7 @@ class FiniteGroup:
         table.setflags(write=False)
         self._table = table
         self._inv = _identity_and_inverses(table)
-        if not trusted:
+        if check_axioms:
             _latin_and_associativity_check(table)
         self._cache: dict = {}
 
@@ -424,21 +445,25 @@ def validate_axioms(G: FiniteGroup) -> None:
 
 
 def _integer_table(table, limit: int | None = None) -> np.ndarray:
-    # The untrusted table as int64, after checking on the values as given
-    # that it is a nonempty square matrix of integers in 0..n-1 (and, with a
-    # limit, that n is within it).  Floats, strings and booleans are
-    # refused, not converted: a cast would truncate floats, parse strings,
-    # read booleans as 0 and 1 and wrap integers beyond the target width.
+    # The untrusted table as an integer array (the caller's own, unless it
+    # had to be converted from Python ints), after checking on the values as
+    # given that it is a nonempty square matrix of integers in 0..n-1 (and,
+    # with a limit, that n is within it): one min and one max.  Floats,
+    # strings and booleans are refused, not converted: a cast would truncate
+    # floats, parse strings, read booleans as 0 and 1 and wrap integers
+    # beyond the target width.
     arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotAGroup("table must be a nonempty square matrix")
-    integers = arr.dtype.kind in "iu" or (arr.dtype == object and all(map(_is_integer, arr.flat)))
-    if not integers:
+    if arr.dtype == object:
+        if not all(map(_is_integer, arr.flat)):
+            raise NotAGroup("table entries must be integers")
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:
+            raise NotAGroup("table entries must fit in 64-bit integers") from None
+    elif arr.dtype.kind not in "iu":
         raise NotAGroup("table entries must be integers")
-    try:
-        arr = arr.astype(np.int64, copy=False)
-    except OverflowError:
-        raise NotAGroup("table entries must fit in 64-bit integers") from None
     n = arr.shape[0]
     if limit is not None and n > limit:
         raise OrderCapExceeded(n, limit)
@@ -483,7 +508,9 @@ def from_multiplication_table(table, *, name=None, labels=None, cap=None) -> Fin
     index 0.  The full axiom check runs, with NotAGroup witnesses on failure.
     """
     arr, labels = _normalize_identity(_integer_table(table, order_cap(cap)), labels)
-    return FiniteGroup(arr, name=name, labels=labels, trusted=False)
+    # a copy even when no relabelling was needed: the caller's array stays
+    # writable
+    return FiniteGroup._checked(np.array(arr, dtype=np.int32), name, labels)
 
 
 def from_permutation_generators(gens, *, name=None, cap=None) -> FiniteGroup:
@@ -659,9 +686,12 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     arr = N.as_array()
     # coset key: least element of x*N
     keys = G.table[:, arr].min(axis=1)
-    reps = np.unique(keys)
-    coset_index = {int(r): i for i, r in enumerate(reps)}
-    proj = np.asarray([coset_index[int(k)] for k in keys], dtype=np.int32)
+    is_rep = np.zeros(G.order, dtype=bool)
+    is_rep[keys] = True
+    reps = np.flatnonzero(is_rep)
+    coset_index = np.zeros(G.order, dtype=np.int32)
+    coset_index[reps] = np.arange(reps.size)
+    proj = coset_index[keys]
     table = proj[G.table[np.ix_(reps, reps)]]
     name = f"{G.display_name}/N{N.order}" if G.name else None
     labels = None

@@ -76,7 +76,7 @@ from .radicals import (
     pi_prime_pi_core,
     supersoluble_residual,
 )
-from .structure import center, centralizer, frattini_of_abelian
+from .structure import _lattice, center, centralizer, frattini_of_abelian
 
 
 def is_large(G: FiniteGroup, N: Subgroup) -> bool:
@@ -158,13 +158,20 @@ class VerificationReport:
 
 
 def _witness(G: FiniteGroup, S: Subgroup, descriptor: str) -> WitnessRecord:
-    cent = centralizer(G, S)
+    # every witness is normal in G, so C_G(S) is read off G's lattice
+    if S.parent is not G:
+        raise ForeignSubgroup("subgroup belongs to a different group")
+    lat = _lattice(G)
+    i = lat.index.get(S.elements)
+    if i is None:
+        raise NotNormal(f"subgroup of order {S.order} is not normal in {G.display_name}")
+    cent = lat.centralizer(i)
     return WitnessRecord(
         descriptor=descriptor,
         order=S.order,
         elements=S.elements,
-        is_large=cent <= S,
-        centralizer_order=cent.order,
+        is_large=not cent & ~lat.masks[i],
+        centralizer_order=lat.order(cent),
     )
 
 

@@ -6,6 +6,8 @@ subnormal subgroups from iterating normality to a fixpoint.  Results are
 returned in a canonical order (by order, then by element tuple) so every
 run of every enumeration is reproducible.
 
+The classes come from one table gather: row i holds every conjugate of
+the i-th element, and the least entry of the row labels its class.
 Normal subgroups are enumerated on class bitmasks: a normal subgroup is a
 union of classes, held as a Python int with bit j set for the j-th class.
 One table gather per distinct class closure C records, for each class, the
@@ -13,19 +15,40 @@ classes met by its representative times C; the product of a normal
 subgroup N with C is then the OR of those bitmasks over the classes of N,
 and only the final list is turned back into element tuples.
 
+The same pass leaves a private lattice record, memoized next to the list:
+each member's class bitmask, the position of each member's element tuple,
+and the class of each element.  A subgroup generated by a union of
+classes is the first member whose mask contains them, since it lies in
+every other.  Two questions are answered on the record without closing
+anything:
+
+* the derived and lower central series of a subgroup normal in its parent
+  G walk G's record.  For normal A and B the commutators [a, b] are the
+  classes of [r, b] for r over the class representatives of A and b over
+  B, because [r^g, b] = [r, b^(g^-1)]^g; a start that is not normal in G
+  closes commutators element by element;
+* the centralizer in G of a member N is the union of the classes whose
+  representative commutes with N (it is normal), one k x |N| comparison;
+  the claim witnesses, all normal in G, read their centralizer order and
+  largeness off it.
+
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
-supersoluble residual; none of them builds a quotient.  The normal
-structure functions and the series take a group or a Subgroup H of it and
-work on the parent's table, memoizing H's results on the parent.  Only the
-composition factors build groups, induced groups and their quotients, and
-only a class defined by a user needs them: in_extension_closure decides the
-built-in classes from the chief factor orders.
+supersoluble residual; none of them builds a quotient.  Minimal and
+maximal normal subgroups compare masks with the earlier or later members
+only, since a proper subgroup comes earlier in the canonical order.  The
+normal structure functions and the series take a group or a Subgroup H of
+it and work on the parent's table, memoizing H's results on the parent.
+Only the composition factors build groups, induced groups and their
+quotients, and only a class defined by a user needs them:
+in_extension_closure decides the built-in classes from the chief factor
+orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,18 +109,16 @@ def conjugacy_classes(x) -> list[tuple[int, ...]]:
 
 
 def _classes(H: Subgroup) -> list[tuple[int, ...]]:
+    # row i of the gather holds g * h_i * g^-1 for every g in H, the whole
+    # class of h_i, so its least entry labels the class; a stable sort by
+    # label keeps each class in ascending order
     G = H.parent
-    table, hs = G.table, H.as_array()
-    inv_hs = G.inverses[hs]
-    seen = np.zeros(G.order, dtype=bool)
-    out = []
-    for x in H.elements:
-        if seen[x]:
-            continue
-        orbit = np.unique(table[table[hs, x], inv_hs])
-        seen[orbit] = True
-        out.append(tuple(int(v) for v in orbit))
-    return out
+    hs = H.as_array()
+    least = G.table[G.table[hs, hs[:, None]], G.inverses[hs]].min(axis=1)
+    order = np.argsort(least, kind="stable")
+    labels, members = least[order], hs[order].tolist()
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(members)]
+    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 # -- closures, centralizers, commutators ------------------------------------
@@ -146,7 +167,7 @@ def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
     a = _elements_array(G, first)
     b = _elements_array(G, second)
     table, inv = G.table, G.inverses
-    comms = np.unique(table[table[inv[a][:, None], inv[b]], table[a[:, None], b]])
+    comms = table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]
     return Subgroup._sorted(G, tuple(_close(table, _EMPTY, comms).tolist()))
 
 
@@ -158,7 +179,7 @@ def normal_closure(x, seed) -> Subgroup:
     G, hs = H.parent, H.as_array()
     seed = _elements_array(G, seed)
     conj = G.table[G.table[hs[:, None], seed], G.inverses[hs][:, None]]
-    return Subgroup._sorted(G, tuple(_close(G.table, _EMPTY, np.unique(conj)).tolist()))
+    return Subgroup._sorted(G, tuple(_close(G.table, _EMPTY, conj).tolist()))
 
 
 def join(first: Subgroup, second: Subgroup) -> Subgroup:
@@ -189,7 +210,55 @@ def normal_subgroups(x) -> list[Subgroup]:
     classes j of N, since x*C for x in class j is a conjugate of rep_j*C.
     So one k x |C| table gather per distinct closure gives the bitmask of
     each rep_j*C, and each product N*C is an OR of those ints."""
-    return _memoized(x, "normal_subgroups", _normals)
+    return _memoized(x, "normal_subgroups", lambda H: _lattice(H).members)
+
+
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The normal subgroups of a group or subgroup H on its classes: the
+    canonical list, each member's class bitmask, the position of each
+    member's element tuple, the class of each element of H (-1 outside H,
+    by parent index), and each class's least member and size."""
+
+    parent: FiniteGroup
+    members: list[Subgroup]
+    masks: tuple[int, ...]
+    index: dict[tuple[int, ...], int]
+    class_of: np.ndarray
+    reps: np.ndarray
+    sizes: tuple[int, ...]
+
+    def least_over(self, mask: int) -> int:
+        """Position of the normal subgroup the classes in mask generate:
+        the first member containing them, since it lies in every other."""
+        return next(i for i, m in enumerate(self.masks) if not mask & ~m)
+
+    def order(self, mask: int) -> int:
+        return sum(self.sizes[j] for j in _bits(mask))
+
+    def commutator(self, i: int, j: int) -> int:
+        """Position of [N_i, N_j] for members i and j.  The commutators form
+        a union of classes, and [r^g, b] = [r, b^(g^-1)]^g with b^(g^-1)
+        in N_j, so the classes of [r, b] for r over the least members of
+        the classes of N_i and b over N_j are all of them."""
+        table, inv = self.parent.table, self.parent.inverses
+        a = self.reps[list(_bits(self.masks[i]))]
+        b = self.members[j].as_array()
+        hit = np.zeros(len(self.reps), dtype=bool)
+        hit[self.class_of[table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]]] = True
+        return self.least_over(_pack(hit))
+
+    def centralizer(self, i: int) -> int:
+        """Class bitmask of the centralizer of member i in H.  It is normal,
+        so a class lies in it exactly when its least member commutes with
+        every element of N_i."""
+        table, s = self.parent.table, self.members[i].as_array()
+        reps = self.reps[:, None]
+        return _pack((table[reps, s] == table[s, reps]).all(axis=1))
+
+
+def _lattice(x) -> _Lattice:
+    return _memoized(x, "normal_lattice", _normals)
 
 
 def _bits(mask: int):
@@ -199,20 +268,25 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _normals(H: Subgroup) -> list[Subgroup]:
+def _pack(hit: np.ndarray) -> int:
+    # a 1-d bool array as a bitmask, bit j for entry j
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+
+
+def _normals(H: Subgroup) -> _Lattice:
     G = H.parent
     table = G.table
     classes = conjugacy_classes(H)
     k = len(classes)
     reps = np.asarray([c[0] for c in classes], dtype=np.int64)
-    class_of = np.zeros(G.order, dtype=np.int64)
+    class_of = np.full(G.order, -1, dtype=np.int32)
     for j, cls in enumerate(classes):
         class_of[list(cls)] = j
     # for each distinct closure C: the first class j with closure C, and
     # rows, where rows[i] is the class bitmask of rep_i * C
     closures = {}
     for j, cls in enumerate(classes[1:], 1):
-        C = _close(table, _EMPTY, np.asarray(cls, dtype=np.int64))
+        C = _close(table, _EMPTY, np.asarray(cls, dtype=np.int64), conjugation_closed=True)
         key = C.tobytes()
         if key in closures:
             continue
@@ -227,25 +301,57 @@ def _normals(H: Subgroup) -> list[Subgroup]:
             for i in _bits(N):
                 product |= rows[i]
             found.add(product)
-    members = [tuple(sorted(x for i in _bits(N) for x in classes[i])) for N in found]
-    return [Subgroup._sorted(G, t) for t in sorted(members, key=lambda t: (len(t), t))]
+    ranked = sorted(
+        ((tuple(sorted(x for i in _bits(N) for x in classes[i])), N) for N in found),
+        key=lambda pair: (len(pair[0]), pair[0]),
+    )
+    return _Lattice(
+        parent=G,
+        members=[Subgroup._sorted(G, t) for t, _ in ranked],
+        masks=tuple(N for _, N in ranked),
+        index={t: i for i, (t, _) in enumerate(ranked)},
+        class_of=class_of,
+        reps=reps,
+        sizes=tuple(map(len, classes)),
+    )
 
 
 def minimal_normal_subgroups(x) -> list[Subgroup]:
-    """Minimal normal subgroups of a group or a subgroup."""
+    """Minimal normal subgroups of a group or a subgroup, in canonical
+    order.  A proper subset comes earlier in that order, so each member is
+    tested against the earlier ones only."""
     if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
-    nontrivial = normal_subgroups(x)[1:]
-    return [N for N in nontrivial if not any(M < N for M in nontrivial)]
+    return list(_memoized(x, "minimal_normal_subgroups", _minimal_normals))
+
+
+def _minimal_normals(H: Subgroup) -> list[Subgroup]:
+    lat = _lattice(H)
+    masks = lat.masks
+    return [
+        lat.members[i]
+        for i in range(1, len(masks))
+        if not any(not masks[j] & ~masks[i] for j in range(1, i))
+    ]
 
 
 def maximal_normal_subgroups(x) -> list[Subgroup]:
-    """Maximal normal subgroups of a group or a subgroup."""
-    H = _as_subgroup(x)
-    if H.is_trivial:
+    """Maximal normal subgroups of a group or a subgroup, in canonical
+    order.  A proper superset comes later in that order, so each member is
+    tested against the later ones only."""
+    if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no maximal normal subgroups")
-    proper = normal_subgroups(H)[:-1]
-    return [N for N in proper if not any(N < M for M in proper)]
+    return list(_memoized(x, "maximal_normal_subgroups", _maximal_normals))
+
+
+def _maximal_normals(H: Subgroup) -> list[Subgroup]:
+    lat = _lattice(H)
+    masks, top = lat.masks, len(lat.masks) - 1
+    return [
+        lat.members[i]
+        for i in range(top)
+        if not any(not masks[i] & ~masks[j] for j in range(i + 1, top))
+    ]
 
 
 def socle(x) -> Subgroup:
@@ -304,14 +410,7 @@ class SeriesReport:
 def derived_series(x) -> SeriesReport:
     """Repeated commutator subgroups until stable; ends at the trivial
     subgroup exactly for soluble inputs."""
-    start = _as_subgroup(x)
-    G = start.parent
-    chain = [start]
-    while True:
-        nxt = commutator_subgroup(G, chain[-1], chain[-1])
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
+    chain = _commutator_chain(_as_subgroup(x), derived=True)
     orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
     tags = tuple(FactorTag(o, _is_prime(o), abelian=True) for o in orders)
     return SeriesReport("derived", tuple(chain), orders, tags)
@@ -320,17 +419,32 @@ def derived_series(x) -> SeriesReport:
 def lower_central_series(x) -> SeriesReport:
     """Iterated commutators with the whole input subgroup; reaches the
     trivial subgroup exactly for nilpotent inputs."""
-    start = _as_subgroup(x)
-    G = start.parent
-    chain = [start]
-    while True:
-        nxt = commutator_subgroup(G, start, chain[-1])
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
+    chain = _commutator_chain(_as_subgroup(x), derived=False)
     orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
     tags = tuple(FactorTag(o, _is_prime(o), abelian=True) for o in orders)
     return SeriesReport("lower_central", tuple(chain), orders, tags)
+
+
+def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
+    # term i+1 is [term i, term i] (derived) or [start, term i] (lower
+    # central) until it repeats.  Every term of a start normal in the
+    # parent G is normal in G, so the walk runs on G's lattice; any other
+    # start closes commutators element by element.
+    G = start.parent
+    lat = _lattice(G)
+    top = lat.index.get(start.elements)
+    if top is None:
+        chain = [start]
+        commutator = partial(commutator_subgroup, G)
+    else:
+        chain = [top]
+        commutator = lat.commutator
+    while True:
+        nxt = commutator(chain[-1] if derived else chain[0], chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain if top is None else [lat.members[i] for i in chain]
 
 
 def composition_series(x, *, rng=None) -> SeriesReport:
@@ -427,5 +541,5 @@ def frattini_of_abelian(A: FiniteGroup) -> Subgroup:
         acc = np.zeros(A.order, dtype=np.int64)
         for _ in range(p):
             acc = A.table[acc, idx]
-        members &= frozenset(int(v) for v in np.unique(acc))
+        members &= frozenset(acc.tolist())
     return Subgroup(A, members)

@@ -98,6 +98,18 @@ def commutator_subgroup(table, first, second):
     return closure(table, gens)
 
 
+def commutator_series(table, elems, *, derived):
+    """The derived series (derived=True) or the lower central series of the
+    subgroup elems, as sorted lists: commutator subgroups of the last term
+    with itself, or with elems, until a term repeats."""
+    chain = [sorted(int(x) for x in elems)]
+    while True:
+        nxt = commutator_subgroup(table, chain[-1] if derived else chain[0], chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
 def element_orders(table):
     orders = []
     for x in range(len(table)):

@@ -20,12 +20,19 @@ def test_dump_families_and_counts():
     corpus = [ls.alternating_group(5), ls.symmetric_group(3), ls.special_linear_2_3()]
     result = tool.dump(corpus)
     assert tuple(result) == (
-        "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports", "ingest"
+        "tables",
+        "normal_subgroups",
+        "centralizers",
+        "series",
+        "normal_series",
+        "invariants",
+        "reports",
+        "ingest",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
-    # chain member (2 + 3 + 5); centralizers: one per normal subgroup of G
-    # (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
+    # chain member (2 + 3 + 5); centralizers and normal_series: one per
+    # normal subgroup of G (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
     # one CLI run per selector; ingest: one record per group plus the
     # malformed ones
     assert counts == {
@@ -33,6 +40,7 @@ def test_dump_families_and_counts():
         "normal_subgroups": 10,
         "centralizers": 9,
         "series": 3,
+        "normal_series": 9,
         "invariants": 12,
         "reports": len(tool.SELECTORS),
         "ingest": 3 + len(tool.MALFORMED_RECORDS),

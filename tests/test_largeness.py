@@ -1,10 +1,51 @@
 """The largeness test itself, the claim verifiers and the scan."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import largesub as ls
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The claims selectors of the benchmark and the scan, on soluble groups and
+# the insoluble alternating(5), in a fresh interpreter.  A plain np.unique
+# call imports numpy.ma (through np.ma.is_masked), which costs a first call
+# about 10 ms; the library dedupes indices with bool masks instead.
+_NO_MASKED_ARRAYS = """
+import sys
+import largesub as ls
+groups = [
+    ls.alternating_group(5),
+    ls.symmetric_group(4),
+    ls.special_linear_2_3(),
+    ls.direct_product(ls.alternating_group(4), ls.alternating_group(4)),
+]
+for G in groups:
+    for selector in ("D", "E", "F:2,3", "G:2", "GD:2", "A:nilpotent"):
+        ls.verify_selector(G, selector)
+records = ls.scan_exceptional(groups)
+assert [r.status for r in records][0] == "not_soluble"
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_claims_and_scan_leave_numpy_ma_unimported():
+    path = os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.split() == ["False"]
 
 
 # -- is_large ------------------------------------------------------------------

@@ -6,6 +6,8 @@ import random
 import pytest
 
 import largesub as ls
+from largesub.largeness import _witness
+from largesub.structure import _classes
 
 import oracles
 
@@ -19,6 +21,33 @@ def test_conjugacy_classes_match_oracle(small_zoo):
         got = sorted(sorted(c) for c in ls.conjugacy_classes(G))
         want = sorted(sorted(c) for c in oracles.conjugacy_classes(_rows(G)))
         assert got == want, G.display_name
+
+
+def _some_subgroups(G, rng, count=4):
+    # subgroups generated by random pairs of elements, many of them not
+    # normal
+    return [ls.closure(G, [rng.randrange(G.order), rng.randrange(G.order)]) for _ in range(count)]
+
+
+def test_one_gather_classes_match_oracle_on_corpus_and_subgroups(corpus):
+    # _classes labels each element by the least entry of its row of
+    # conjugates; the oracle collects each orbit one conjugate at a time
+    rng = random.Random(11)
+    non_normal = 0
+    for G in corpus:
+        if G.order > 100:
+            continue
+        rows = _rows(G)
+        assert _classes(G.whole()) == oracles.conjugacy_classes(rows), G.display_name
+        for S in _some_subgroups(G, rng):
+            back = S.elements
+            want = [
+                tuple(back[i] for i in c)
+                for c in oracles.conjugacy_classes(oracles.induced_table(rows, back))
+            ]
+            assert _classes(S) == want, (G.display_name, back)
+            non_normal += not S.is_normal()
+    assert non_normal >= 120
 
 
 def test_class_sizes_s4(s4):
@@ -127,6 +156,61 @@ def test_derived_series_frozen(s4):
     assert perfect.last.order == 60
 
 
+def _series_by_elements(G, start, *, derived):
+    # the element-level loop that the walk on the lattice replaced
+    chain = [start]
+    while True:
+        nxt = ls.commutator_subgroup(G, chain[-1] if derived else start, chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
+def test_series_match_oracle(small_zoo):
+    # every normal start walks the parent's lattice; the random pairs give
+    # starts that are not normal, which take the element-level loop
+    rng = random.Random(5)
+    for G in small_zoo:
+        rows = _rows(G)
+        for start in ls.normal_subgroups(G) + _some_subgroups(G, rng):
+            for series, derived in ((ls.derived_series, True), (ls.lower_central_series, False)):
+                got = [list(S.elements) for S in series(start).chain]
+                want = oracles.commutator_series(rows, start.elements, derived=derived)
+                assert got == want, (G.display_name, start.elements, series.__name__)
+
+
+def test_lattice_series_match_the_commutator_loop_on_corpus(corpus):
+    checked = 0
+    for G in corpus:
+        for N in ls.normal_subgroups(G):
+            for series, derived in ((ls.derived_series, True), (ls.lower_central_series, False)):
+                want = _series_by_elements(G, N, derived=derived)
+                assert list(series(N).chain) == want, (G.display_name, N.elements, derived)
+            checked += 1
+    assert checked == 4842
+
+
+def test_witness_centralizers_match_centralizer_on_corpus(corpus):
+    checked = large = 0
+    for G in corpus:
+        for N in ls.normal_subgroups(G):
+            cent = ls.centralizer(G, N)
+            witness = _witness(G, N, "N")
+            assert (witness.centralizer_order, witness.is_large) == (cent.order, cent <= N), (
+                G.display_name,
+                N.elements,
+            )
+            checked += 1
+            large += witness.is_large
+    assert (checked, large) == (4842, 963)
+
+
+def test_witness_refuses_a_subgroup_that_is_not_normal(s4):
+    S = next(S for S in ls.subnormal_subgroups(s4) if not S.is_normal())
+    with pytest.raises(ls.NotNormal):
+        _witness(s4, S, "S")
+
+
 def test_lower_central_series_frozen(s4):
     rep = ls.lower_central_series(s4)
     assert rep.kind == "lower_central"
@@ -184,6 +268,28 @@ def test_minimal_and_maximal_normals(s4, a4xa4):
     assert sorted(N.order for N in ls.maximal_normal_subgroups(a4xa4)) == [48, 48, 48, 48]
     C12 = ls.cyclic_group(12)
     assert sorted(N.order for N in ls.minimal_normal_subgroups(C12)) == [2, 3]
+
+
+def test_minimal_and_maximal_normals_match_the_quadratic_scan(corpus):
+    # on every corpus group and every member of its composition chain
+    for G in corpus:
+        for H in ls.composition_series(G).chain[:-1]:
+            normals = ls.normal_subgroups(H)
+            nontrivial, proper = normals[1:], normals[:-1]
+            where = (G.display_name, H.order)
+            assert ls.minimal_normal_subgroups(H) == [
+                N for N in nontrivial if not any(M < N for M in nontrivial)
+            ], where
+            assert ls.maximal_normal_subgroups(H) == [
+                N for N in proper if not any(N < M for M in proper)
+            ], where
+
+
+def test_minimal_and_maximal_normals_are_copies(s4):
+    for f in (ls.minimal_normal_subgroups, ls.maximal_normal_subgroups):
+        first = f(s4)
+        first.clear()
+        assert len(f(s4)) == 1, f.__name__
 
 
 def test_socle(s4, a5, a4xa4):

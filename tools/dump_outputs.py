@@ -17,6 +17,8 @@ families, each hashed over all 243 groups in corpus order:
     centralizers       centralizer of each normal subgroup of G
     series             derived and lower central series of G (chains and
                        factor orders)
+    normal_series      derived and lower central series of each normal
+                       subgroup of G (chains and factor orders)
     invariants         nilpotency_class and derived_length of G and of each
                        normal subgroup of G
     reports            exit code and stdout of `largesub verify --format
@@ -67,7 +69,14 @@ SELECTORS = (
     "A:normal_hall_pi_prime:2",
 )
 FAMILIES = (
-    "tables", "normal_subgroups", "centralizers", "series", "invariants", "reports", "ingest"
+    "tables",
+    "normal_subgroups",
+    "centralizers",
+    "series",
+    "normal_series",
+    "invariants",
+    "reports",
+    "ingest",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 # records the reader must refuse, or whose table the builder must refuse,
@@ -144,6 +153,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         for N in normals:
             put("centralizers", ls.centralizer(G, N).elements)
         put("series", [_chain(ls.derived_series(G)), _chain(ls.lower_central_series(G))])
+        for N in normals:
+            put("normal_series", [_chain(ls.derived_series(N)), _chain(ls.lower_central_series(N))])
         for x in [G, *normals]:
             put("invariants", [ls.nilpotency_class(x), ls.derived_length(x)])
     with tempfile.TemporaryDirectory() as tmp:
