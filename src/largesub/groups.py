@@ -77,15 +77,10 @@ def pi_part(n: int, pi) -> int:
     return part
 
 
-def _close(
-    table: np.ndarray, base: np.ndarray, frontier: np.ndarray, *, conjugation_closed=False
-) -> np.ndarray:
+def _close(table: np.ndarray, base: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     # Multiplicative closure of base | frontier, assuming base is already
     # closed.  Finite order makes inverses appear on their own.  The
-    # frontier may have any shape and repeat elements.  When base and
-    # frontier are both closed under conjugation by a subgroup containing
-    # them, so is every later frontier, and X*Y = Y*X for such sets:
-    # products on one side reach the same closure.
+    # frontier may have any shape and repeat elements.
     n = table.shape[0]
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
@@ -101,8 +96,7 @@ def _close(
         members = np.flatnonzero(mask)
         new_mask = np.zeros(n, dtype=bool)
         new_mask[table[members[:, None], frontier]] = True
-        if not conjugation_closed:
-            new_mask[table[frontier[:, None], members]] = True
+        new_mask[table[frontier[:, None], members]] = True
 
 
 _EMPTY = np.empty(0, dtype=np.int64)

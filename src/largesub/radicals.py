@@ -8,7 +8,10 @@ two witnesses that break it.  Nothing here builds a group but
 class_residual, which tests quotients: the cores, radicals, components and
 the supersoluble residual work on the parent's table, and a ClassPredicate's
 member test takes a Subgroup, so class_radical and maximal_normal_members
-test each normal subgroup where it lies.
+test each normal subgroup where it lies.  Joins of normal subgroups (the
+Fitting and generalized Fitting subgroups) and the containment tests of
+maximal_normal_members and the supersoluble residual read the class masks
+of the lattice record in structure.py.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_grou
 from .structure import (
     _as_subgroup,
     _is_prime,
+    _lattice,
     _memoized,
+    _normal_join,
     derived_series,
     intersect,
     join,
@@ -89,9 +94,10 @@ def fitting_subgroup(x) -> RadicalResult:
     product of the p-cores."""
     def compute(H):
         primes = prime_factors(H.order)
-        cores = (pi_core(H, (p,), _validated=True).subgroup for p in primes)
-        result = reduce(join, cores, H.parent.trivial())
-        return RadicalResult(result, f"product of the p-cores for p in {set(primes) or '{}'}")
+        cores = [pi_core(H, (p,), _validated=True).subgroup for p in primes]
+        return RadicalResult(
+            _normal_join(H, cores), f"product of the p-cores for p in {set(primes) or '{}'}"
+        )
 
     return _memoized(x, "fitting_subgroup", compute)
 
@@ -121,7 +127,7 @@ def generalized_fitting_subgroup(x) -> RadicalResult:
     def compute(H):
         fit, lay = fitting_subgroup(H).subgroup, layer(H).subgroup
         return RadicalResult(
-            join(fit, lay),
+            _normal_join(H, (fit, lay)),
             f"fitting subgroup (order {fit.order}) joined with the layer (order {lay.order})",
         )
 
@@ -161,14 +167,17 @@ def maximal_normal_members(G: FiniteGroup, X: ClassPredicate) -> list[Subgroup]:
     several), for X flagged closed under normal subgroups.  The walk goes
     down the canonical list, so every normal subgroup above N comes first:
     N is not tested when it lies in a member already found, and is maximal
-    when it lies in none and passes the test."""
+    when it lies in none and passes the test.  Containment is read off the
+    class masks of G's lattice record."""
     if not X.closed_under.normal_subgroups:
         raise ClosureNotDeclared(f"class {X.name!r} is not flagged closed under normal subgroups")
-    found: list[Subgroup] = []
-    for N in reversed(normal_subgroups(G)):
-        if not any(N <= M for M in found) and X.member(N):
-            found.append(N)
-    return found[::-1]
+    lat = _lattice(G)
+    found: list[int] = []
+    for i in reversed(range(len(lat.masks))):
+        mask = lat.masks[i]
+        if not any(not mask & ~lat.masks[m] for m in found) and X.member(lat.members[i]):
+            found.append(i)
+    return [lat.members[i] for i in reversed(found)]
 
 
 def class_residual(G: FiniteGroup, X: ClassPredicate) -> Subgroup:
@@ -209,15 +218,29 @@ def class_residual(G: FiniteGroup, X: ClassPredicate) -> Subgroup:
 def supersoluble_residual(G: FiniteGroup) -> Subgroup:
     """Smallest normal subgroup with supersoluble quotient (a kernel).  A
     proper normal N is a kernel exactly when it has prime index in some
-    kernel, so walking the canonical list down from G finds every kernel.
-    That the smallest lies in all the others is asserted, not trusted."""
-    kernels: list[Subgroup] = []
-    for N in reversed(normal_subgroups(G)):
-        if N.is_whole or any(_is_prime(K.order // N.order) and N < K for K in kernels):
-            kernels.append(N)
+    kernel, so walking G's lattice record down from G finds every kernel;
+    containment is tested on class masks before the index.  That the
+    smallest lies in all the others is asserted, not trusted.  Memoized on
+    G."""
+    return _memoized(G, "supersoluble_residual", _supersoluble_residual)
+
+
+def _supersoluble_residual(H: Subgroup) -> Subgroup:
+    lat = _lattice(H)
+    masks, members = lat.masks, lat.members
+    top = len(masks) - 1
+    kernels = [top]
+    for i in range(top - 1, -1, -1):
+        # a later member containing N contains it properly
+        if any(
+            not masks[i] & ~masks[K] and _is_prime(members[K].order // members[i].order)
+            for K in kernels
+        ):
+            kernels.append(i)
+    least = kernels[-1]
     for K in kernels:
-        if not kernels[-1] <= K:
+        if masks[least] & ~masks[K]:
             raise NotAFormationWitness(
-                kernels[-1], K, "supersoluble kernels are not intersection-closed"
+                members[least], members[K], "supersoluble kernels are not intersection-closed"
             )
-    return kernels[-1]
+    return members[least]

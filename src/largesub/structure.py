@@ -10,10 +10,18 @@ The classes come from one table gather: row i holds every conjugate of
 the i-th element, and the least entry of the row labels its class.
 Normal subgroups are enumerated on class bitmasks: a normal subgroup is a
 union of classes, held as a Python int with bit j set for the j-th class.
-One table gather per distinct class closure C records, for each class, the
-classes met by its representative times C; the product of a normal
-subgroup N with C is then the OR of those bitmasks over the classes of N,
-and only the final list is turned back into element tuples.
+Nothing is closed element by element.  One k x |H| gather builds a
+temporary class product table, hit[i, j, l] when class l meets rep_i
+times class j (x * class_j for x in class i is a conjugate of rep_i *
+class_j).  The closure of class j is the fixpoint of M <- M * class_j on
+masks, each step an OR of the rows of column j for the classes new to M;
+a class and its inverse class are closed once.  The rows of each distinct
+closure C (the classes met by rep_i times C) are one gather read off the
+same table, the product of a normal subgroup N with C is the OR of those
+rows over the classes of N, and only the final list is turned back into
+element tuples.  The table lives for one lattice and is never memoized;
+is_simple builds one too and stops at the first class whose closure falls
+short of H.
 
 The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
@@ -34,7 +42,9 @@ anything:
 
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
-supersoluble residual; none of them builds a quotient.  Minimal and
+supersoluble residual; none of them builds a quotient.  A join of normal
+subgroups (the socle, and the Fitting subgroups in radicals.py) is the
+first member over the OR of their masks.  Minimal and
 maximal normal subgroups compare masks with the earlier or later members
 only, since a proper subgroup comes earlier in the canonical order.  The
 normal structure functions and the series take a group or a Subgroup H of
@@ -273,36 +283,88 @@ def _pack(hit: np.ndarray) -> int:
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
+class _ClassProducts:
+    """The class product table of a group or subgroup H, built per lattice
+    and never memoized: hit[i, j, l] holds when class l meets rep_i times
+    class j.  For x in class i, x * class_j is a conjugate of rep_i *
+    class_j, so one k x |H| gather fills the table.  It is held as that
+    gather, the class of rep_i * h for every h of H listed class by class,
+    and read as bitmask rows over any union of columns."""
+
+    def __init__(self, H: Subgroup):
+        G = H.parent
+        classes = conjugacy_classes(H)
+        self.k = k = len(classes)
+        self.reps = np.asarray([c[0] for c in classes], dtype=np.int64)
+        self.class_of = np.full(G.order, -1, dtype=np.int32)
+        for j, cls in enumerate(classes):
+            self.class_of[list(cls)] = j
+        elements = np.fromiter((x for c in classes for x in c), dtype=np.int64, count=H.order)
+        self.cuts = [0, *np.cumsum([len(c) for c in classes]).tolist()]
+        self.products = self.class_of[G.table[self.reps[:, None], elements]]
+        self.column_class = self.class_of[elements]
+        self.inverse_class = self.class_of[G.inverses[self.reps]].tolist()
+
+    def generating_classes(self):
+        """The nontrivial classes whose closures are all class closures:
+        a class and its inverse class close to the same subgroup, so each
+        pair is taken once."""
+        return (j for j in range(1, self.k) if self.inverse_class[j] >= j)
+
+    def _rows(self, columns) -> list[int]:
+        # row i: bitmask of the classes met in row i of the chosen columns,
+        # packed into 64-bit words and read out as Python ints
+        words = -(-self.k // 64)
+        hit = np.zeros((self.k, 64 * words), dtype=bool)
+        hit[np.arange(self.k)[:, None], self.products[:, columns]] = True
+        packed = np.packbits(hit, axis=1, bitorder="little").view("<u8")
+        rows = packed[:, -1].tolist()
+        for w in range(words - 2, -1, -1):
+            rows = [high << 64 | low for high, low in zip(rows, packed[:, w].tolist())]
+        return rows
+
+    def closure(self, j: int) -> int:
+        """Class bitmask of the subgroup generated by class j, normal in H:
+        the fixpoint of M <- M * class_j from the identity class, where
+        only the classes new to M add rows."""
+        column = self._rows(slice(self.cuts[j], self.cuts[j + 1]))
+        mask = new = 1
+        while new:
+            step = 0
+            for a in _bits(new):
+                step |= column[a]
+            new = step & ~mask
+            mask |= new
+        return mask
+
+    def rows(self, mask: int) -> list[int]:
+        """Row i is the class bitmask of rep_i * C, for the union C of the
+        classes in mask."""
+        inside = np.zeros(self.k, dtype=bool)
+        inside[list(_bits(mask))] = True
+        return self._rows(inside[self.column_class])
+
+
 def _normals(H: Subgroup) -> _Lattice:
     G = H.parent
-    table = G.table
     classes = conjugacy_classes(H)
-    k = len(classes)
-    reps = np.asarray([c[0] for c in classes], dtype=np.int64)
-    class_of = np.full(G.order, -1, dtype=np.int32)
-    for j, cls in enumerate(classes):
-        class_of[list(cls)] = j
-    # for each distinct closure C: the first class j with closure C, and
-    # rows, where rows[i] is the class bitmask of rep_i * C
+    table = _ClassProducts(H)
+    # the rows of each distinct class closure C
     closures = {}
-    for j, cls in enumerate(classes[1:], 1):
-        C = _close(table, _EMPTY, np.asarray(cls, dtype=np.int64), conjugation_closed=True)
-        key = C.tobytes()
-        if key in closures:
-            continue
-        hit = np.zeros((k, k), dtype=bool)
-        hit[np.arange(k)[:, None], class_of[table[reps[:, None], C]]] = True
-        packed = np.packbits(hit, axis=1, bitorder="little")
-        closures[key] = (j, [int.from_bytes(row.tobytes(), "little") for row in packed])
-    found = {1}  # the trivial subgroup: class 0 alone
-    for j, rows in closures.values():
-        for N in [N for N in found if not N >> j & 1]:  # else C lies in N
+    for j in table.generating_classes():
+        C = table.closure(j)
+        if C not in closures:
+            closures[C] = table.rows(C)
+    found = {1: [0]}  # each product's classes; first the trivial subgroup
+    for C, rows in closures.items():
+        for N, bits in [(N, bits) for N, bits in found.items() if C & ~N]:  # else C lies in N
             product = 0
-            for i in _bits(N):
+            for i in bits:
                 product |= rows[i]
-            found.add(product)
+            if product not in found:
+                found[product] = list(_bits(product))
     ranked = sorted(
-        ((tuple(sorted(x for i in _bits(N) for x in classes[i])), N) for N in found),
+        ((tuple(sorted(x for i in bits for x in classes[i])), N) for N, bits in found.items()),
         key=lambda pair: (len(pair[0]), pair[0]),
     )
     return _Lattice(
@@ -310,8 +372,8 @@ def _normals(H: Subgroup) -> _Lattice:
         members=[Subgroup._sorted(G, t) for t, _ in ranked],
         masks=tuple(N for _, N in ranked),
         index={t: i for i, (t, _) in enumerate(ranked)},
-        class_of=class_of,
-        reps=reps,
+        class_of=table.class_of,
+        reps=table.reps,
         sizes=tuple(map(len, classes)),
     )
 
@@ -354,20 +416,41 @@ def _maximal_normals(H: Subgroup) -> list[Subgroup]:
     ]
 
 
+def _normal_join(H: Subgroup, normals) -> Subgroup:
+    """Join of subgroups normal in H, read off H's lattice record: the
+    first member containing all their classes."""
+    lat = _lattice(H)
+    mask = 0
+    for N in normals:
+        mask |= lat.masks[lat.index[N.elements]]
+    return lat.members[lat.least_over(mask)]
+
+
 def socle(x) -> Subgroup:
     """Join of all minimal normal subgroups of a group or a subgroup
     (trivial for the trivial group)."""
     H = _as_subgroup(x)
-    result = H.parent.trivial()
-    for N in minimal_normal_subgroups(H) if H.order > 1 else ():
-        result = join(result, N)
-    return result
+    if H.is_trivial:
+        return H.parent.trivial()
+    return _normal_join(H, minimal_normal_subgroups(H))
 
 
 def is_simple(x) -> bool:
     """Exactly two normal subgroups, itself and the trivial one (so
-    nontrivial); takes a group or a subgroup."""
-    return len(normal_subgroups(x)) == 2
+    nontrivial); takes a group or a subgroup.  A group of prime order is
+    simple, and one whose order has one or two prime divisors otherwise is
+    not (Burnside's p^a q^b theorem).  Any other H is simple exactly when
+    every nontrivial class generates H; the closures stop at the first one
+    that falls short."""
+    H = _as_subgroup(x)
+    n = H.order
+    if n == 1 or _is_prime(n):
+        return n > 1
+    if len(prime_factors(n)) < 3:
+        return False
+    table = _ClassProducts(H)
+    whole = (1 << table.k) - 1
+    return all(table.closure(j) == whole for j in table.generating_classes())
 
 
 # -- series -----------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Radicals, residuals and the quasi-simple machinery."""
 
+from functools import reduce
+
 import pytest
 
 import largesub as ls
+from largesub import radicals
 
 
 def _is_cyclic(G):
@@ -193,3 +196,55 @@ def test_radical_results_carry_witness_text(s4):
     assert ls.fitting_subgroup(s4).witness
     assert ls.pi_core(s4, [2]).witness
     assert ls.generalized_fitting_subgroup(s4).witness
+
+
+def _residual_by_subgroups(G, is_prime):
+    # the walk over Subgroup objects, kept as the reference
+    kernels = []
+    for N in reversed(ls.normal_subgroups(G)):
+        if N.is_whole or any(is_prime(K.order // N.order) and N < K for K in kernels):
+            kernels.append(N)
+    for K in kernels:
+        if not kernels[-1] <= K:
+            raise ls.NotAFormationWitness(kernels[-1], K, "not intersection-closed")
+    return kernels[-1]
+
+
+def test_supersoluble_residual_matches_the_subgroup_walk_on_corpus(corpus):
+    for G in corpus:
+        got = ls.supersoluble_residual(G)
+        assert got == _residual_by_subgroups(G, radicals._is_prime), G.display_name
+        assert ls.supersoluble_residual(G) is got  # memoized
+
+
+def test_supersoluble_residual_raises_where_the_subgroup_walk_does(monkeypatch):
+    # with "prime" index read as index 4, the kernels of C2^3 are G and its
+    # seven subgroups of order 2, which meet in no kernel
+    def index_four(n):
+        return n == 4
+
+    C2 = ls.cyclic_group(2)
+    with pytest.raises(ls.NotAFormationWitness) as want:
+        _residual_by_subgroups(ls.direct_product(ls.direct_product(C2, C2), C2), index_four)
+    monkeypatch.setattr(radicals, "_is_prime", index_four)
+    G = ls.direct_product(ls.direct_product(C2, C2), C2)
+    with pytest.raises(ls.NotAFormationWitness) as got:
+        ls.supersoluble_residual(G)
+    pair = (got.value.first.elements, got.value.second.elements)
+    assert pair == (want.value.first.elements, want.value.second.elements)
+    assert got.value.first.order == got.value.second.order == 2
+
+
+def test_lattice_joins_and_members_match_the_subgroup_walks(corpus):
+    abelian = ls.builtin_class("abelian")
+    for G in corpus:
+        fit = ls.fitting_subgroup(G).subgroup
+        cores = [ls.pi_core(G, (p,)).subgroup for p in ls.prime_factors(G.order)]
+        assert fit == reduce(ls.join, cores, G.trivial()), G.display_name
+        lay = ls.layer(G).subgroup
+        assert ls.generalized_fitting_subgroup(G).subgroup == ls.join(fit, lay), G.display_name
+        found = []
+        for N in reversed(ls.normal_subgroups(G)):
+            if not any(N <= M for M in found) and abelian.member(N):
+                found.append(N)
+        assert ls.maximal_normal_members(G, abelian) == found[::-1], G.display_name

@@ -7,7 +7,7 @@ import pytest
 
 import largesub as ls
 from largesub.largeness import _witness
-from largesub.structure import _classes
+from largesub.structure import _classes, _ClassProducts
 
 import oracles
 
@@ -113,6 +113,48 @@ def test_normal_subgroups_match_oracle_on_corpus(corpus):
         assert got == [tuple(t) for t in want], G.display_name
         checked += 1
     assert checked == 62
+
+
+def _mask_elements(classes, mask):
+    return tuple(sorted(x for j, cls in enumerate(classes) if mask >> j & 1 for x in cls))
+
+
+def test_class_closures_match_normal_closure_on_corpus(corpus):
+    # every class of every corpus group, the inverse classes included
+    checked = 0
+    for G in corpus:
+        classes = ls.conjugacy_classes(G)
+        table = _ClassProducts(G.whole())
+        for j, cls in enumerate(classes):
+            want = ls.normal_closure(G, cls).elements
+            assert _mask_elements(classes, table.closure(j)) == want, (G.display_name, j)
+            checked += 1
+    assert checked == sum(len(ls.conjugacy_classes(G)) for G in corpus)
+
+
+def test_is_simple_matches_the_lattice_count(corpus, a5):
+    # every subnormal subgroup of every eighth corpus group, plus A5 and
+    # its subgroups for the closure path (an order with three primes)
+    simple = 0
+    for G in [*corpus[::8], a5]:
+        for H in ls.subnormal_subgroups(G):
+            assert ls.is_simple(H) == (len(ls.normal_subgroups(H)) == 2), (
+                G.display_name,
+                H.elements,
+            )
+            simple += ls.is_simple(H)
+    assert simple > 0
+    assert not ls.is_simple(ls.trivial_group())
+    assert ls.is_simple(a5) and ls.is_simple(ls.cyclic_group(7))
+    assert not ls.is_simple(ls.direct_product(a5, ls.cyclic_group(2)))
+
+
+def test_socle_is_the_join_of_the_minimal_normals(corpus):
+    for G in corpus:
+        want = G.trivial()
+        for N in ls.minimal_normal_subgroups(G) if G.order > 1 else ():
+            want = ls.join(want, N)
+        assert ls.socle(G) == want, G.display_name
 
 
 def test_normal_subgroup_orders_frozen(s4, a4, sl23, a4xa4):

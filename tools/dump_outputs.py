@@ -33,6 +33,10 @@ families, each hashed over all 243 groups in corpus order:
                        parsed with iter_records and built, hashed as the
                        table bytes or as the error's class, message and
                        witness
+    lattice_answers    socle, supersoluble_residual and
+                       generalized_fitting_subgroup of G, the
+                       maximal_normal_members of the abelian class, and
+                       is_simple of each normal subgroup of G
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -77,6 +81,7 @@ FAMILIES = (
     "invariants",
     "reports",
     "ingest",
+    "lattice_answers",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 # records the reader must refuse, or whose table the builder must refuse,
@@ -135,6 +140,17 @@ def _ingest(line: str) -> list:
     return [G.order, G.table.tobytes().hex(), G.display_name]
 
 
+def _lattice_answers(G, normals) -> list:
+    abelian = ls.builtin_class("abelian")
+    return [
+        ls.socle(G).elements,
+        ls.supersoluble_residual(G).elements,
+        ls.generalized_fitting_subgroup(G).subgroup.elements,
+        [M.elements for M in ls.maximal_normal_members(G, abelian)],
+        [ls.is_simple(N) for N in normals],
+    ]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -157,6 +173,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
             put("normal_series", [_chain(ls.derived_series(N)), _chain(ls.lower_central_series(N))])
         for x in [G, *normals]:
             put("invariants", [ls.nilpotency_class(x), ls.derived_length(x)])
+        put("lattice_answers", _lattice_answers(G, normals))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
