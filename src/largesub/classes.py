@@ -19,6 +19,7 @@ from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
+    _lattice,
     _memoized,
     center,
     chief_series,
@@ -75,8 +76,27 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
     """Length of the lower central series, or None when it never reaches the
     trivial subgroup.  The trivial group has class 0, a nontrivial abelian
     group class 1.  Compare against None, not truthiness.  Takes a group or
-    a subgroup, like the series; the result is memoized on the parent."""
-    return _memoized(G, "nilpotency_class", lambda H: _length(lower_central_series(H)))
+    a subgroup, like the series; the result is memoized on the parent.
+
+    A proper normal subgroup N of the parent is nilpotent exactly when it
+    lies in the Fitting subgroup of the parent (Fitting's theorem), so one
+    outside it gets None from the class masks of the parent's lattice
+    record, without a series.  The Fitting subgroup is the product of the
+    p-cores, found by order alone."""
+    return _memoized(G, "nilpotency_class", _nilpotency_class)
+
+
+def _nilpotency_class(H: Subgroup) -> int | None:
+    if not H.is_whole:
+        lat = _lattice(H.parent)
+        i = lat.index.get(H.elements)
+        if i is not None:
+            from .radicals import fitting_subgroup
+
+            F = fitting_subgroup(H.parent).subgroup
+            if lat.masks[i] & ~lat.masks[lat.index[F.elements]]:
+                return None
+    return _length(lower_central_series(H))
 
 
 def derived_length(G: FiniteGroup) -> int | None:
@@ -93,7 +113,9 @@ def _length(series) -> int | None:
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
-    """Takes a group or a subgroup."""
+    """Takes a group or a subgroup.  A proper normal subgroup of the parent
+    is decided by containment in the parent's Fitting subgroup (see
+    nilpotency_class); anything else by its lower central series."""
     return nilpotency_class(G) is not None
 
 
@@ -134,7 +156,14 @@ def is_pi_separable(G: FiniteGroup, pi) -> bool:
 
 
 def _chief_factor_primes(G):
-    # the prime set of each chief factor T^k, which is that of its simple T
+    """The prime sets of the chief factors of a group or subgroup, each the
+    prime set of the simple T of a chief factor T^k.  Every chief factor of
+    a soluble group is elementary abelian and every prime of the order
+    occurs in one, so a soluble G yields {p} for each prime p of |G| and
+    only an insoluble G reads its chief series.  Repeats are not kept: the
+    callers ask whether all the sets pass a rule."""
+    if is_soluble(G):
+        return (frozenset((p,)) for p in prime_factors(G.order))
     return (frozenset(prime_factors(o)) for o in chief_series(G).factor_orders)
 
 

@@ -77,7 +77,15 @@ _COMBINATOR_RE = re.compile(r"^(direct|central)\s*\(")
 
 def parse_group_spec(text: str, *, cap=None) -> FiniteGroup:
     """Evaluate a group expression: a catalog name, direct(a,b), or
-    central(a,b), nested freely."""
+    central(a,b), nested freely up to the interpreter's recursion limit;
+    deeper nesting is refused as UnknownName."""
+    try:
+        return _evaluate(text, cap)
+    except RecursionError:
+        raise UnknownName("group expression nested too deeply") from None
+
+
+def _evaluate(text: str, cap) -> FiniteGroup:
     text = text.strip()
     m = _COMBINATOR_RE.match(text)
     if m is None:
@@ -87,8 +95,8 @@ def parse_group_spec(text: str, *, cap=None) -> FiniteGroup:
     parts = _split_top_level(text[m.end() : -1], text)
     if len(parts) != 2:
         raise UnknownName(f"{m.group(1)} takes exactly two group expressions: {text!r}")
-    A = parse_group_spec(parts[0], cap=cap)
-    B = parse_group_spec(parts[1], cap=cap)
+    A = _evaluate(parts[0], cap)
+    B = _evaluate(parts[1], cap)
     if m.group(1) == "direct":
         return direct_product(A, B, cap=cap)
     return _central_of_centers(A, B, cap=cap)

@@ -10,8 +10,8 @@ the supersoluble residual work on the parent's table, and a ClassPredicate's
 member test takes a Subgroup, so class_radical and maximal_normal_members
 test each normal subgroup where it lies.  Joins of normal subgroups (the
 Fitting and generalized Fitting subgroups) and the containment tests of
-maximal_normal_members and the supersoluble residual read the class masks
-of the lattice record in structure.py.
+class_radical, maximal_normal_members and the supersoluble residual read
+the class masks of the lattice record in structure.py.
 """
 
 from __future__ import annotations
@@ -144,16 +144,24 @@ def soluble_radical(G: FiniteGroup) -> RadicalResult:
 def class_radical(G: FiniteGroup, X: ClassPredicate) -> RadicalResult:
     """Largest normal X-subgroup, for X flagged as a Fitting class.  If the
     normal X-members fail to be join-closed on this group, the two
-    incomparable maximal members are reported as NotAFittingClassWitness."""
+    incomparable maximal members are reported as NotAFittingClassWitness.
+    Maximality is tested on the class masks of G's lattice record."""
     if not X.closed_under.fitting_class:
         raise ClosureNotDeclared(f"class {X.name!r} is not flagged as a Fitting class")
-    members = [N for N in normal_subgroups(G) if X.member(N)]
-    maximal = [N for N in members if not any(N < M for M in members)]
+    lat = _lattice(G)
+    members = [i for i, N in enumerate(lat.members) if X.member(N)]
+    # a proper superset comes later in canonical order, which also orders
+    # the maximal members by (order, element tuple)
+    maximal = [
+        lat.members[i]
+        for n, i in enumerate(members)
+        if not any(not lat.masks[i] & ~lat.masks[j] for j in members[n + 1 :])
+    ]
     if len(maximal) == 1:
         return RadicalResult(
             maximal[0], f"unique maximal normal {X.name}-subgroup among {len(members)}"
         )
-    first, second = sorted(maximal, key=lambda N: (N.order, N.elements))[:2]
+    first, second = maximal[:2]
     raise NotAFittingClassWitness(
         first,
         second,

@@ -34,11 +34,13 @@ anything:
   G walk G's record.  For normal A and B the commutators [a, b] are the
   classes of [r, b] for r over the class representatives of A and b over
   B, because [r^g, b] = [r, b^(g^-1)]^g; a start that is not normal in G
-  closes commutators element by element;
+  closes commutators element by element.  Each unordered pair of members
+  is gathered once per lattice, so the chains of different members, which
+  share their tails, cost one gather per new pair;
 * the centralizer in G of a member N is the union of the classes whose
-  representative commutes with N (it is normal), one k x |N| comparison;
-  the claim witnesses, all normal in G, read their centralizer order and
-  largeness off it.
+  representative commutes with N (it is normal), one k x |N| comparison,
+  made once per member; the claim witnesses, all normal in G, read their
+  centralizer order and largeness off it.
 
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
@@ -57,7 +59,7 @@ orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -228,7 +230,9 @@ class _Lattice:
     """The normal subgroups of a group or subgroup H on its classes: the
     canonical list, each member's class bitmask, the position of each
     member's element tuple, the class of each element of H (-1 outside H,
-    by parent index), and each class's least member and size."""
+    by parent index), and each class's least member and size.  The
+    commutator and centralizer answers are stored as they are asked, so
+    each is gathered once per lattice."""
 
     parent: FiniteGroup
     members: list[Subgroup]
@@ -237,6 +241,8 @@ class _Lattice:
     class_of: np.ndarray
     reps: np.ndarray
     sizes: tuple[int, ...]
+    commutators: dict[tuple[int, int], int] = field(default_factory=dict)
+    centralizers: dict[int, int] = field(default_factory=dict)
 
     def least_over(self, mask: int) -> int:
         """Position of the normal subgroup the classes in mask generate:
@@ -247,10 +253,19 @@ class _Lattice:
         return sum(self.sizes[j] for j in _bits(mask))
 
     def commutator(self, i: int, j: int) -> int:
-        """Position of [N_i, N_j] for members i and j.  The commutators form
-        a union of classes, and [r^g, b] = [r, b^(g^-1)]^g with b^(g^-1)
-        in N_j, so the classes of [r, b] for r over the least members of
-        the classes of N_i and b over N_j are all of them."""
+        """Position of [N_i, N_j] for members i and j, gathered once per
+        unordered pair since [N_i, N_j] = [N_j, N_i]: the derived and lower
+        central chains of different members share their tails, so later
+        chains are lookups.  The commutators form a union of classes, and
+        [r^g, b] = [r, b^(g^-1)]^g with b^(g^-1) in N_j, so the classes of
+        [r, b] for r over the least members of the classes of N_i and b
+        over N_j are all of them."""
+        key = (i, j) if i <= j else (j, i)
+        if key not in self.commutators:
+            self.commutators[key] = self._commutator(*key)
+        return self.commutators[key]
+
+    def _commutator(self, i: int, j: int) -> int:
         table, inv = self.parent.table, self.parent.inverses
         a = self.reps[list(_bits(self.masks[i]))]
         b = self.members[j].as_array()
@@ -259,9 +274,14 @@ class _Lattice:
         return self.least_over(_pack(hit))
 
     def centralizer(self, i: int) -> int:
-        """Class bitmask of the centralizer of member i in H.  It is normal,
-        so a class lies in it exactly when its least member commutes with
-        every element of N_i."""
+        """Class bitmask of the centralizer of member i in H, gathered once
+        per member.  It is normal, so a class lies in it exactly when its
+        least member commutes with every element of N_i."""
+        if i not in self.centralizers:
+            self.centralizers[i] = self._centralizer(i)
+        return self.centralizers[i]
+
+    def _centralizer(self, i: int) -> int:
         table, s = self.parent.table, self.members[i].as_array()
         reps = self.reps[:, None]
         return _pack((table[reps, s] == table[s, reps]).all(axis=1))

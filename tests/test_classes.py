@@ -81,6 +81,56 @@ def test_invariants_memoize_none(monkeypatch):
     assert not calls
 
 
+def _fresh(G):
+    # a copy with empty caches
+    return ls.FiniteGroup(G.table, name=G.name, trusted=True)
+
+
+def test_nilpotency_outside_the_fitting_subgroup_needs_no_series(corpus, monkeypatch):
+    # a proper normal subgroup is nilpotent exactly when it lies in F(G)
+    calls = _count_series_calls(monkeypatch)
+    outside = 0
+    for G in map(_fresh, corpus[::4]):
+        F = ls.fitting_subgroup(G).subgroup
+        for N in ls.normal_subgroups(G)[:-1]:
+            if not N <= F:
+                assert ls.nilpotency_class(N) is None, (G.display_name, N.elements)
+                assert not ls.is_nilpotent(N)
+                # the unpatched series agrees
+                assert not ls.lower_central_series(N).last.is_trivial
+                outside += 1
+    assert outside > 100
+    assert calls["lower_central_series"] == 0
+
+
+def test_soluble_groups_read_no_chief_series(corpus, monkeypatch):
+    calls = collections.Counter()
+    real = classes.chief_series
+
+    def counting(x):
+        calls["chief_series"] += 1
+        return real(x)
+
+    monkeypatch.setattr(classes, "chief_series", counting)
+    keys = ("soluble", "nilpotent", "supersoluble", "pi_separable:2", "normal_hall_pi_prime:3")
+    checked = 0
+    for G in corpus[::3]:
+        if not ls.is_soluble(G):
+            continue
+        # the unpatched chief series gives the same verdicts
+        factor_primes = [set(ls.prime_factors(o)) for o in ls.chief_series(G).factor_orders]
+        for p in (2, 3, 5):
+            want = all(ps <= {p} or p not in ps for ps in factor_primes)
+            assert ls.is_pi_separable(G, [p]) == want, (G.display_name, p)
+        for key in keys:
+            X = ls.builtin_class(key)
+            want = all(X.simple_rule(frozenset(ps)) for ps in factor_primes)
+            assert ls.in_extension_closure(X, G) == want, (G.display_name, key)
+        checked += 1
+    assert checked > 50
+    assert not calls
+
+
 def test_nilpotent_soluble_supersoluble(s4, a4, a5):
     assert ls.is_nilpotent(ls.dihedral_group(16))
     assert not ls.is_nilpotent(ls.symmetric_group(3))

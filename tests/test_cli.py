@@ -48,6 +48,9 @@ def test_parse_group_spec_central_requires_isomorphic_centers():
         "central(cyclic(2)))",
         "nonsense(2)",
         "cyclic(0)",
+        pytest.param(
+            "direct(" * 1000 + "cyclic(1)" + ",cyclic(1))" * 1000, id="nested-1000-deep"
+        ),
     ],
 )
 def test_parse_group_spec_rejects_bad_expressions(text, capsys):

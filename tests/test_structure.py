@@ -1,13 +1,14 @@
 """Structure computations checked against brute-force oracles and
 hand-verified constants."""
 
+import collections
 import random
 
 import pytest
 
 import largesub as ls
 from largesub.largeness import _witness
-from largesub.structure import _classes, _ClassProducts
+from largesub.structure import _classes, _ClassProducts, _Lattice
 
 import oracles
 
@@ -245,6 +246,33 @@ def test_witness_centralizers_match_centralizer_on_corpus(corpus):
             checked += 1
             large += witness.is_large
     assert (checked, large) == (4842, 963)
+
+
+def test_commutators_and_centralizers_are_gathered_once_per_lattice(corpus, monkeypatch):
+    # [N_i, N_j] = [N_j, N_i]: one gather per unordered pair of members,
+    # and one centralizer gather per member, however often they are asked
+    gathered = collections.Counter()
+    commutator, centralizer = _Lattice._commutator, _Lattice._centralizer
+
+    def counting_commutator(self, i, j):
+        gathered["commutator", min(i, j), max(i, j)] += 1
+        return commutator(self, i, j)
+
+    def counting_centralizer(self, i):
+        gathered["centralizer", i] += 1
+        return centralizer(self, i)
+
+    monkeypatch.setattr(_Lattice, "_commutator", counting_commutator)
+    monkeypatch.setattr(_Lattice, "_centralizer", counting_centralizer)
+    source = max((G for G in corpus if G.order <= 200), key=lambda G: len(ls.normal_subgroups(G)))
+    G = ls.FiniteGroup(source.table, name=source.name, trusted=True)
+    for _ in range(2):
+        for N in ls.normal_subgroups(G):
+            ls.derived_series(N)
+            ls.lower_central_series(N)
+            _witness(G, N, "N")
+    assert sum(1 for key in gathered if key[0] == "commutator") > len(ls.normal_subgroups(G))
+    assert max(gathered.values()) == 1
 
 
 def test_witness_refuses_a_subgroup_that_is_not_normal(s4):
