@@ -21,14 +21,11 @@ from .structure import (
     _as_subgroup,
     _lattice,
     _memoized,
-    center,
     chief_series,
-    commutator_subgroup,
     composition_factors,
     derived_series,
     lower_central_series,
     minimal_normal_subgroups,
-    normal_subgroups,
 )
 
 
@@ -199,14 +196,17 @@ def has_normal_hall_pi_prime(G: FiniteGroup, pi) -> bool:
 
 
 def is_quasisimple(x) -> bool:
-    """Perfect and simple modulo the center; takes a group or a subgroup H.
-    H/Z(H) is simple exactly when two normal subgroups of H contain Z(H)
-    (Z(H) and H itself), so no quotient is built."""
-    H = _as_subgroup(x)
-    if commutator_subgroup(H.parent, H, H) != H:
+    """Perfect and simple modulo the center, read off the lattice record of
+    a group or a subgroup H (the subnormal walk behind components has
+    built it): H is perfect when [H, H] is the top member, Z(H) is that
+    member's centralizer, and H/Z(H) is simple when exactly two members
+    (Z(H) and H) contain Z(H)."""
+    lat = _lattice(x)
+    top = len(lat.masks) - 1
+    if lat.commutator(top, top) != top:
         return False
-    Z = center(H)
-    return sum(1 for N in normal_subgroups(H) if Z <= N) == 2
+    Z = lat.centralizer(top)
+    return sum(1 for m in lat.masks if not Z & ~m) == 2
 
 
 def is_quasinilpotent(x) -> bool:

@@ -76,16 +76,12 @@ from .radicals import (
     pi_prime_pi_core,
     supersoluble_residual,
 )
-from .structure import _lattice, center, centralizer, frattini_of_abelian
+from .structure import _lattice, center, frattini_of_abelian
 
 
 def is_large(G: FiniteGroup, N: Subgroup) -> bool:
     """Whether the centralizer of the normal subgroup N lies inside N."""
-    if N.parent is not G:
-        raise ForeignSubgroup("subgroup belongs to a different group")
-    if not N.is_normal():
-        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.display_name}")
-    return centralizer(G, N) <= N
+    return _witness(G, N, "").is_large
 
 
 @dataclass(frozen=True)

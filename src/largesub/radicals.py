@@ -8,29 +8,27 @@ two witnesses that break it.  Nothing here builds a group but
 class_residual, which tests quotients: the cores, radicals, components and
 the supersoluble residual work on the parent's table, and a ClassPredicate's
 member test takes a Subgroup, so class_radical and maximal_normal_members
-test each normal subgroup where it lies.  Joins of normal subgroups (the
-Fitting and generalized Fitting subgroups) and the containment tests of
-class_radical, maximal_normal_members and the supersoluble residual read
-the class masks of the lattice record in structure.py.
+test each normal subgroup where it lies.  The joins (the Fitting and
+generalized Fitting subgroups, and the layer of the components) and the
+containment tests of class_radical, maximal_normal_members and the
+supersoluble residual read the class masks of the lattice record in
+structure.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .classes import ClassPredicate, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group
 from .structure import (
-    _as_subgroup,
     _is_prime,
     _lattice,
     _memoized,
     _normal_join,
     derived_series,
     intersect,
-    join,
     normal_subgroups,
     subnormal_subgroups,
 )
@@ -116,9 +114,13 @@ def components(x) -> list[Subgroup]:
 
 
 def layer(x) -> RadicalResult:
-    """Join of all components of a group or a subgroup."""
+    """Join of all components of a group or a subgroup H.  Conjugation
+    permutes the components, so their join is normal in H: the first
+    member of H's lattice record over the classes that meet them."""
     comps = components(x)
-    result = reduce(join, comps, _as_subgroup(x).parent.trivial())
+    lat = _lattice(x)
+    classes = {c for T in comps for c in lat.class_of[T.as_array()].tolist()}
+    result = lat.members[lat.least_over(sum(1 << c for c in classes))]
     return RadicalResult(result, f"join of {len(comps)} components")
 
 

@@ -33,10 +33,11 @@ anything:
 * the derived and lower central series of a subgroup normal in its parent
   G walk G's record.  For normal A and B the commutators [a, b] are the
   classes of [r, b] for r over the class representatives of A and b over
-  B, because [r^g, b] = [r, b^(g^-1)]^g; a start that is not normal in G
-  closes commutators element by element.  Each unordered pair of members
-  is gathered once per lattice, so the chains of different members, which
-  share their tails, cost one gather per new pair;
+  B, because [r^g, b] = [r, b^(g^-1)]^g.  Every term is characteristic in
+  the start, so a start that is not normal in G walks its own record.
+  Each unordered pair of members is gathered once per lattice, so the
+  chains of different members, which share their tails, cost one gather
+  per new pair;
 * the centralizer in G of a member N is the union of the classes whose
   representative commutes with N (it is normal), one k x |N| comparison,
   made once per member; the claim witnesses, all normal in G, read their
@@ -46,7 +47,8 @@ The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  A join of normal
 subgroups (the socle, and the Fitting subgroups in radicals.py) is the
-first member over the OR of their masks.  Minimal and
+first member over the OR of their masks, and a chief series steps to the
+next member whose mask contains the last.  Minimal and
 maximal normal subgroups compare masks with the earlier or later members
 only, since a proper subgroup comes earlier in the canonical order.  The
 normal structure functions and the series take a group or a Subgroup H of
@@ -60,16 +62,16 @@ orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .errors import ForeignSubgroup, NotAbelian, TrivialGroup
+from .errors import ForeignSubgroup, TrivialGroup
 from .groups import (
     _EMPTY,
     FiniteGroup,
     Subgroup,
     _close,
+    _require_abelian,
     prime_factors,
     quotient_group,
     subgroup_as_group,
@@ -530,24 +532,19 @@ def lower_central_series(x) -> SeriesReport:
 
 def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
     # term i+1 is [term i, term i] (derived) or [start, term i] (lower
-    # central) until it repeats.  Every term of a start normal in the
-    # parent G is normal in G, so the walk runs on G's lattice; any other
-    # start closes commutators element by element.
-    G = start.parent
-    lat = _lattice(G)
-    top = lat.index.get(start.elements)
-    if top is None:
-        chain = [start]
-        commutator = partial(commutator_subgroup, G)
-    else:
-        chain = [top]
-        commutator = lat.commutator
+    # central) until it repeats.  Every term is characteristic in the
+    # start, so normal in the parent G whenever the start is: the walk runs
+    # on G's record for a start normal in G, on the start's own otherwise.
+    lat = _lattice(start.parent)
+    if start.elements not in lat.index:
+        lat = _lattice(start)
+    chain = [lat.index[start.elements]]
     while True:
-        nxt = commutator(chain[-1] if derived else chain[0], chain[-1])
+        nxt = lat.commutator(chain[-1] if derived else chain[0], chain[-1])
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    return chain if top is None else [lat.members[i] for i in chain]
+    return [lat.members[i] for i in chain]
 
 
 def composition_series(x, *, rng=None) -> SeriesReport:
@@ -593,11 +590,13 @@ def chief_series(x) -> SeriesReport:
     factors are minimal normal subgroups of the successive quotients.  Each
     term is the first normal subgroup in canonical order strictly above the
     last: a cover of least order, ties to the least element tuple."""
-    normals = normal_subgroups(x)
-    chain = [normals[0]]
-    for N in normals[1:]:
-        if chain[-1] < N:
-            chain.append(N)
+    lat = _lattice(x)
+    masks, steps = lat.masks, [0]
+    for i in range(1, len(masks)):
+        # a later member containing the last term contains it properly
+        if not masks[steps[-1]] & ~masks[i]:
+            steps.append(i)
+    chain = [lat.members[i] for i in steps]
     orders = tuple(chain[i + 1].order // chain[i].order for i in range(len(chain) - 1))
     tags = tuple(
         FactorTag(o, _is_prime(o), abelian=len(prime_factors(o)) <= 1) for o in orders
@@ -636,8 +635,7 @@ def _subnormals(H: Subgroup, max_depth: int | None) -> list[Subgroup]:
 def frattini_of_abelian(A: FiniteGroup) -> Subgroup:
     """Frattini subgroup of an abelian group: the intersection of the p-th
     power subgroups over the primes dividing the order."""
-    if not np.array_equal(A.table, A.table.T):
-        raise NotAbelian(f"{A.display_name} is not abelian")
+    _require_abelian(A)
     members = frozenset(range(A.order))
     idx = np.arange(A.order)
     for p in prime_factors(A.order):

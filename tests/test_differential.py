@@ -114,6 +114,31 @@ def test_subnormal_structure_matches_induced_groups(groups):
             assert ls.is_quasisimple(S) == _quasisimple_by_quotient(H), where
 
 
+def _special_linear_2_5():
+    # SL(2,5) on the 24 nonzero vectors of F_5^2, from [[1,1],[0,1]] and
+    # [[0,4],[1,0]]: quasi-simple with a center of order 2
+    vectors = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+
+    def action(m):
+        (p, q), (r, s) = m
+        return [vectors.index(((p * a + q * b) % 5, (r * a + s * b) % 5)) for a, b in vectors]
+
+    return ls.from_permutation_generators([action([[1, 1], [0, 1]]), action([[0, 4], [1, 0]])])
+
+
+def test_quasisimple_with_a_nontrivial_center():
+    # no corpus group has a component with a nontrivial center
+    G = _special_linear_2_5()
+    assert G.order == 120
+    assert ls.is_quasisimple(G)
+    assert ls.center(G).order == 2
+    assert ls.is_quasisimple(G) == _quasisimple_by_quotient(G)
+    P = ls.direct_product(G, ls.quaternion_group(8))
+    assert P.order == 960
+    assert ls.layer(P).subgroup.order == 120
+    assert ls.verify_selector(P, "E").outcome == "pass"
+
+
 def _composition_chain_by_induced_groups(G, rng=None):
     # the recursion composition_series used to make: the maximal normal
     # subgroups of each term, found in the induced group and mapped back

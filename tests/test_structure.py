@@ -200,7 +200,8 @@ def test_derived_series_frozen(s4):
 
 
 def _series_by_elements(G, start, *, derived):
-    # the element-level loop that the walk on the lattice replaced
+    # the element-level loop that the walks on the lattice records replaced,
+    # the parent's for a normal start and the start's own for any other
     chain = [start]
     while True:
         nxt = ls.commutator_subgroup(G, chain[-1] if derived else start, chain[-1])
@@ -210,9 +211,10 @@ def _series_by_elements(G, start, *, derived):
 
 
 def test_series_match_oracle(small_zoo):
-    # every normal start walks the parent's lattice; the random pairs give
-    # starts that are not normal, which take the element-level loop
+    # every normal start walks the parent's lattice record; the random
+    # pairs give starts that are not normal, which walk their own record
     rng = random.Random(5)
+    non_normal = 0
     for G in small_zoo:
         rows = _rows(G)
         for start in ls.normal_subgroups(G) + _some_subgroups(G, rng):
@@ -220,17 +222,24 @@ def test_series_match_oracle(small_zoo):
                 got = [list(S.elements) for S in series(start).chain]
                 want = oracles.commutator_series(rows, start.elements, derived=derived)
                 assert got == want, (G.display_name, start.elements, series.__name__)
+            non_normal += not start.is_normal()
+    assert non_normal >= 9
 
 
 def test_lattice_series_match_the_commutator_loop_on_corpus(corpus):
-    checked = 0
+    # the normal subgroups of G, then the subgroups generated by two
+    # consecutive class representatives that are not normal in G
+    checked = non_normal = 0
     for G in corpus:
-        for N in ls.normal_subgroups(G):
+        reps = [c[0] for c in ls.conjugacy_classes(G)]
+        pairs = [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+        for N in ls.normal_subgroups(G) + [S for S in pairs if not S.is_normal()]:
             for series, derived in ((ls.derived_series, True), (ls.lower_central_series, False)):
                 want = _series_by_elements(G, N, derived=derived)
                 assert list(series(N).chain) == want, (G.display_name, N.elements, derived)
             checked += 1
-    assert checked == 4842
+            non_normal += not N.is_normal()
+    assert (checked, non_normal) == (4842 + 1559, 1559)
 
 
 def test_witness_centralizers_match_centralizer_on_corpus(corpus):

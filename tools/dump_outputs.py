@@ -37,6 +37,11 @@ families, each hashed over all 243 groups in corpus order:
                        generalized_fitting_subgroup of G, the
                        maximal_normal_members of the abelian class, and
                        is_simple of each normal subgroup of G
+    subgroup_series    derived and lower central series of the subgroup
+                       generated by each two consecutive conjugacy class
+                       representatives of G (chains and factor orders;
+                       many of these subgroups are not normal), then
+                       components(G) and layer(G)
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -82,6 +87,7 @@ FAMILIES = (
     "reports",
     "ingest",
     "lattice_answers",
+    "subgroup_series",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 # records the reader must refuse, or whose table the builder must refuse,
@@ -151,6 +157,16 @@ def _lattice_answers(G, normals) -> list:
     ]
 
 
+def _subgroup_series(G) -> list:
+    reps = [c[0] for c in ls.conjugacy_classes(G)]
+    starts = [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+    return [
+        [[_chain(ls.derived_series(S)), _chain(ls.lower_central_series(S))] for S in starts],
+        [T.elements for T in ls.components(G)],
+        ls.layer(G).subgroup.elements,
+    ]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -174,6 +190,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         for x in [G, *normals]:
             put("invariants", [ls.nilpotency_class(x), ls.derived_length(x)])
         put("lattice_answers", _lattice_answers(G, normals))
+        put("subgroup_series", _subgroup_series(G))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
