@@ -16,11 +16,19 @@ left to the builders, so callers can distinguish unreadable files from
 readable files containing non-groups.
 
 CorpusRecord.data is the parsed JSON object, except that a table record's
-"table" is usually a flat int64 numpy array rather than a list: the entry
-check converts the entries in one pass, and build reshapes that array
-without copying.  It stays the parsed list when the line contains a JSON
-true or false (so that booleans are told apart from 0 and 1) or an integer
-beyond 64 bits.
+"table" is usually a flat int64 numpy array rather than a list, which build
+reshapes without copying.  A canonical table line is read without making a
+Python int per entry: "table" is its last key, its entries are written in
+plain decimal with "," or ", " between them, and each lies in 0..order-1.
+Such a line's table body is parsed straight into int64, and the rest of the
+line, with the body emptied, goes through json.  Every other line takes the
+general route: the whole line through json, then the entries converted in
+one pass, or kept as the parsed list when the line contains a JSON true or
+false (so that booleans are told apart from 0 and 1) or an integer beyond
+64 bits.  A line is read the canonical way only when it is valid JSON that
+the general route would read to the same record and the same entries, so
+every error, with its message and line number, comes from the general
+route, and a table the builder refuses is refused with the same witness.
 """
 
 from __future__ import annotations
@@ -82,11 +90,76 @@ def _integer_entries(values: list, text: str) -> np.ndarray | list | None:
     return values if all(type(v) is int for v in values) else None
 
 
+def _name_ok(name) -> bool:
+    # a lone surrogate ("\ud800" in JSON) is a str that stdout cannot print
+    return name is None or (
+        isinstance(name, str) and name == name.encode("utf-8", "replace").decode()
+    )
+
+
+def _table_body(text: str) -> dict | None:
+    """The record of a canonical table line, its "table" a flat int64
+    array; None when the line is not canonical (see the module docstring),
+    and iter_records reads it the general way."""
+    lb, rb = text.rfind("["), text.rfind("]")
+    if not lb < rb - 1 or text[rb + 1 :] != "}":
+        return None
+    body = text[lb + 1 : rb]
+    if not body.isascii():
+        return None
+    body = body.encode().replace(b", ", b",")
+    if (
+        body.translate(None, b"0123456789,")
+        or b",," in body
+        or body.startswith(b",")
+        or body.endswith(b",")
+    ):
+        return None
+    # with the body emptied, "table" must be the top-level object's last key
+    # (the one json keeps of duplicates); objects close inner first, so the
+    # hook's last call is the top level
+    last = []
+
+    def pairs_hook(pairs):
+        last.append(pairs[-1] if pairs else None)
+        return dict(pairs)
+
+    try:
+        data = json.loads(text[: lb + 1] + text[rb:], object_pairs_hook=pairs_hook)
+    except (ValueError, RecursionError):
+        return None
+    order = data.get("order")
+    if not (
+        last[-1] == ("table", [])
+        and data.get("kind") == "table"
+        and type(order) is int
+        and order >= 1
+        and _name_ok(data.get("name"))
+    ):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=",")
+    if values.size != order * order or values.max() >= order:
+        return None
+    # every token is at least as long as its value's decimal form, so equal
+    # lengths rule out leading zeros, overflowed tokens and a short parse
+    digits = values.size + sum(
+        np.count_nonzero(values >= 10**k) for k in range(1, len(str(order - 1)))
+    )
+    if digits + values.size - 1 != len(body):
+        return None
+    data["table"] = values
+    return data
+
+
 def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
     """Parse corpus lines into records, validating shapes as we go."""
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
+            continue
+        data = _table_body(text)
+        if data is not None:
+            yield CorpusRecord(kind="table", name=data.get("name"), line_no=line_no, data=data)
             continue
         try:
             data = json.loads(text)
@@ -97,13 +170,7 @@ def iter_records(lines: Iterable[str]) -> Iterator[CorpusRecord]:
         kind = data.get("kind")
         _expect(kind in ("table", "perm"), f"unknown record kind {kind!r}", line_no)
         name = data.get("name")
-        # a lone surrogate ("\ud800" in JSON) is a str that stdout cannot print
-        _expect(
-            name is None
-            or (isinstance(name, str) and name == name.encode("utf-8", "replace").decode()),
-            "name must be a string of Unicode characters",
-            line_no,
-        )
+        _expect(_name_ok(name), "name must be a string of Unicode characters", line_no)
         # integers are tested with `type(v) is int`: JSON true/false load as
         # bool, a subclass of int, and are not integers here
         if kind == "table":

@@ -534,9 +534,13 @@ def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
     # term i+1 is [term i, term i] (derived) or [start, term i] (lower
     # central) until it repeats.  Every term is characteristic in the
     # start, so normal in the parent G whenever the start is: the walk runs
-    # on G's record for a start normal in G, on the start's own otherwise.
-    lat = _lattice(start.parent)
-    if start.elements not in lat.index:
+    # on G's record for a start normal in G, on the start's own otherwise
+    # (the same record for the whole of G); G's record is not built just
+    # to learn that the start is not normal.
+    lat = start.parent._cache.get("normal_lattice")
+    if lat is None and not start.is_whole and start.is_normal():
+        lat = _lattice(start.parent)
+    if lat is None or start.elements not in lat.index:
         lat = _lattice(start)
     chain = [lat.index[start.elements]]
     while True:

@@ -1,6 +1,7 @@
 """Corpus parsing, validation and round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import largesub as ls
 import oracles
+from largesub import corpus
 from largesub.corpus import (
     CorpusRecord,
     dump_record,
@@ -175,8 +177,15 @@ def _reader_outcome(line):
 
 
 def _oracle_outcome(line):
-    # the per-entry type check, then the parsed list handed to build
-    data = json.loads(line)
+    # the JSON and shape errors, the per-entry type check, then the parsed
+    # list handed to build
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return "CorpusFormatError", f"line 1: invalid JSON ({exc.msg})", None
+    n = data["order"]
+    if not isinstance(data.get("table"), list) or len(data["table"]) != n * n:
+        return "CorpusFormatError", f"line 1: table must be a flat list of {n}*{n} entries", None
     if oracles.integer_entries(data["table"]) is None:
         return "CorpusFormatError", "line 1: table entries must be integers", None
     rec = CorpusRecord(kind="table", name=data.get("name"), line_no=1, data=data)
@@ -212,8 +221,17 @@ def test_entries_become_an_int64_array_unless_a_literal_could_be_a_bool():
     (rec,) = iter_records([_c2([0, 1, 1, 0])])
     assert rec.data["table"].dtype == np.int64
     assert rec.data["table"].tolist() == [0, 1, 1, 0]
+    # a true past the table puts the line on the general route, where a
+    # literal in the line keeps the parsed list
+    (flagged,) = iter_records([_c2([0, 1, 1, 0])[:-1] + ', "ok": true}'])
+    assert flagged.data["table"] == [0, 1, 1, 0]
+    assert (flagged.build().table == rec.build().table).all()
+
+
+def test_a_name_of_true_does_not_keep_the_list():
+    (rec,) = iter_records([_c2([0, 1, 1, 0])])
     (named,) = iter_records([_c2([0, 1, 1, 0], name="true")])
-    assert named.data["table"] == [0, 1, 1, 0]
+    assert named.data["table"].dtype == np.int64
     assert (named.build().table == rec.build().table).all()
 
 
@@ -246,3 +264,89 @@ def test_entry_conversion_matches_per_entry_check_on_mixed_lists(drawn, name, cy
         entries = [e if i % 3 == 2 else base[i] for i, e in enumerate(entries)]
     line = json.dumps({"kind": "table", "name": name, "order": n, "table": entries})
     assert _reader_outcome(line) == _oracle_outcome(line)
+
+
+# -- the canonical read against the oracle --------------------------------------
+
+
+def _mutate(tokens, n, mutation, i):
+    """The table body's tokens after one raw text mutation at entry i."""
+    tokens = list(tokens)
+    if mutation == "leading_zero":
+        tokens[i] = "0" + tokens[i]
+    elif mutation == "double_comma":
+        tokens.insert(i, "")
+    elif mutation == "trailing_comma":
+        tokens.append("")
+    elif mutation == "tab":
+        tokens[i] = "\t" + tokens[i]
+    elif mutation == "newline":
+        tokens[i] = tokens[i] + "\n"
+    elif mutation == "entry_n":
+        tokens[i] = str(n)
+    elif mutation == "twenty_digits":
+        tokens[i] = str(10**19 + 7 * i)
+    elif mutation == "past_64_bits":  # 19 digits, as many as 2**63 - 1
+        tokens[i] = str(2**63 + 7 * i)
+    return tokens
+
+
+@st.composite
+def _table_lines(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        inv = [perm.index(a) for a in range(n)]
+        entries = [perm[(inv[a] + inv[b]) % n] for a in range(n) for b in range(n)]
+    else:
+        entries = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    item, key = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    mutation = draw(
+        st.sampled_from(
+            [None, "leading_zero", "double_comma", "trailing_comma", "tab", "newline",
+             "entry_n", "twenty_digits", "past_64_bits"]
+        )
+    )
+    tokens = _mutate(map(str, entries), n, mutation, draw(st.integers(0, n * n - 1)))
+    name = draw(st.sampled_from([None, "c", "true", "a[b", "x]", "x]}", "[0]", "]}"]))
+    pairs = [
+        ('"kind"', '"table"'),
+        ('"name"', json.dumps(name)),
+        ('"order"', str(n)),
+        ('"table"', "[" + item.join(tokens) + "]"),
+    ]
+    layout = draw(st.sampled_from(["table_last", "name_last", "duplicate_table", "no_table"]))
+    if layout == "name_last":
+        pairs.append(pairs.pop(1))
+    elif layout == "duplicate_table":
+        pairs.insert(0, ('"table"', "[9]"))
+    elif layout == "no_table":
+        pairs[-1] = ('"tables"', pairs[-1][1])
+    return "{" + item.join(k + key + v for k, v in pairs) + "}"
+
+
+def test_canonical_read_matches_the_oracle(monkeypatch):
+    routes = {"int64": 0, "list": 0}
+    table_body = corpus._table_body
+
+    def counted(text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a DeprecationWarning from fromstring
+            data = table_body(text)
+        routes["list" if data is None else "int64"] += 1
+        return data
+
+    monkeypatch.setattr(corpus, "_table_body", counted)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_table_lines())
+    def check(line):
+        assert _reader_outcome(line) == _oracle_outcome(line)
+        try:
+            (rec,) = iter_records([line])
+        except ls.CorpusFormatError:
+            return
+        assert {**rec.data, "table": list(rec.data["table"])} == json.loads(line)
+
+    check()
+    assert routes["int64"] and routes["list"]

@@ -50,6 +50,6 @@ def test_dump_families_and_counts():
         "subgroup_series": 3,
     }
     assert len(tool.SELECTORS) == 12
-    assert len(tool.MALFORMED_RECORDS) == 14
+    assert len(tool.MALFORMED_RECORDS) == 23
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

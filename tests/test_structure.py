@@ -226,6 +226,18 @@ def test_series_match_oracle(small_zoo):
     assert non_normal >= 9
 
 
+def test_series_of_a_start_not_normal_leave_the_parent_record_unbuilt():
+    G = ls.symmetric_group(4)
+    x = next(x for x in range(G.order) if G.element_orders()[x] == 2)
+    S = ls.closure(G, [x])
+    assert not S.is_normal()
+    assert [T.order for T in ls.derived_series(S).chain] == [2, 1]
+    assert [T.order for T in ls.lower_central_series(S).chain] == [2, 1]
+    assert "normal_lattice" not in G._cache
+    assert [T.order for T in ls.derived_series(G).chain] == [24, 12, 4, 1]
+    assert "normal_lattice" in G._cache
+
+
 def test_lattice_series_match_the_commutator_loop_on_corpus(corpus):
     # the normal subgroups of G, then the subgroups generated by two
     # consecutive class representatives that are not normal in G

@@ -91,7 +91,7 @@ FAMILIES = (
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 # records the reader must refuse, or whose table the builder must refuse,
-# plus one valid table that the entry check reads the slow way
+# plus valid tables that take one route or the other through the reader
 MALFORMED_RECORDS = tuple(
     '{"kind":"table","name":"%s","order":2,"table":[0,1,1,%s]}' % (name, last)
     for name, last in (
@@ -115,6 +115,17 @@ MALFORMED_RECORDS = tuple(
     '{"kind":"table","name":"loop5","order":5,"table":%s}' % json.dumps(_LOOP5),
     # x*y = -x-y mod 3: Latin, but no element is an identity
     '{"kind":"table","name":"no_identity","order":3,"table":[0,2,1,2,1,0,1,0,2]}',
+    # edges of the canonical table read: lines it refuses, which the
+    # general route reads or rejects, and lines it reads
+    '{"kind":"table","name":"leading_zero","order":2,"table":[0,1,01,0]}',
+    '{"kind":"table","name":"double_comma","order":2,"table":[0,1,,0]}',
+    '{"kind":"table","name":"trailing_comma","order":2,"table":[0,1,1,0,]}',
+    '{"kind":"table","name":"entry_n","order":2,"table":[0,1,1,2]}',
+    '{"kind": "table", "name": "spaced", "order": 2, "table": [0, 1, 1, 0]}',
+    '{"kind":"table","name":"tab","order":2,"table":[0,1,\t1,0]}',
+    '{"kind":"table","order":2,"table":[0,1,1,0],"name":"x]}"}',
+    '{"kind":"table","name":"duplicate","table":[0],"order":2,"table":[0,1,1,0]}',
+    '{"kind":"table","table":[0,1,1,0],"name":"table_first","order":2}',
 )
 
 
