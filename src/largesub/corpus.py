@@ -107,10 +107,11 @@ def _table_body(text: str) -> dict | None:
     body = text[lb + 1 : rb]
     if not body.isascii():
         return None
-    body = body.encode().replace(b", ", b",")
+    body = body.encode()
+    if b" " in body:
+        body = body.replace(b", ", b",")
     if (
         body.translate(None, b"0123456789,")
-        or b",," in body
         or body.startswith(b",")
         or body.endswith(b",")
     ):
@@ -137,11 +138,20 @@ def _table_body(text: str) -> dict | None:
         and _name_ok(data.get("name"))
     ):
         return None
-    values = np.fromstring(body, dtype=np.int64, sep=",")
+    try:  # an empty token ("1,,2") stops the parse with a ValueError
+        values = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
     if values.size != order * order or values.max() >= order:
         return None
-    # every token is at least as long as its value's decimal form, so equal
-    # lengths rule out leading zeros, overflowed tokens and a short parse
+    # The body holds only digits and commas, so its c commas cut it into
+    # c + 1 digit runs, of total length len(body) - c.  Each value comes
+    # from a nonempty run of its own, and its decimal form is no longer
+    # than that run, so digits <= len(body) - c and values.size <= c + 1.
+    # Equality below, digits + values.size - 1 == len(body), then forces
+    # values.size == c + 1 and digits == len(body) - c: every run is
+    # nonempty and is the plain decimal form of its value.  That rules out
+    # empty tokens, leading zeros, overflowed tokens and a short parse.
     digits = values.size + sum(
         np.count_nonzero(values >= 10**k) for k in range(1, len(str(order - 1)))
     )

@@ -109,7 +109,8 @@ class FiniteGroup:
     Optional labels name the elements for display; name labels the group.
     The identity and inverses are always checked; trusted=True, for tables
     built from groups, skips the Latin and associativity checks.  Untrusted
-    tables get Light's associativity test first, which proves a table with
+    tables get Light's associativity test first, on greedy generators whose
+    set grows by right-multiplication orbits, which proves a table with
     identity and inverses a group (hence Latin) when it passes; the Latin
     check runs only when it fails, so errors and witnesses are those of
     the Latin check followed by the associativity check.
@@ -369,11 +370,15 @@ def _latin_check(table: np.ndarray) -> None:
 
 
 def _light_generators(table: np.ndarray) -> list[int] | None:
-    # Greedy generators: the least index outside the closure so far.  In a
-    # Latin square each closure S is a subquasigroup, and S*g misses S for
-    # g outside it, so each step at least doubles the closure and there are
-    # at most floor(log2 n) generators.  None when more are needed, which
-    # proves the table is not Latin.
+    # Greedy generators: the least index outside the set so far, which grows
+    # as the orbit of 0 under right multiplication by the generators (one
+    # gather of S*g, then each new element times every generator).  The
+    # orbit lies in the closure of the generators, so when it is everything
+    # the generators generate the table.  In a group it is the subgroup they
+    # generate (positive powers give inverses), and S*g misses S for g
+    # outside it, so by Lagrange each step at least doubles the set and
+    # there are at most floor(log2 n) generators.  None when more are
+    # needed, which proves the table is not a group.
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
@@ -383,7 +388,13 @@ def _light_generators(table: np.ndarray) -> list[int] | None:
             return None
         g = int(np.argmin(inside))
         gens.append(g)
-        inside[_close(table, np.flatnonzero(inside), np.asarray([g]))] = True
+        products = table[inside, g]
+        while products.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[products] = True
+            fresh &= ~inside
+            inside |= fresh
+            products = table[np.ix_(fresh, gens)]
     return gens
 
 
@@ -399,7 +410,8 @@ def _latin_and_associativity_check(table: np.ndarray) -> None:
     # first failing triple (a, b, c).
     gens = _light_generators(table)
     if gens is not None and all(
-        np.array_equal(table[table[:, g]], table[:, table[g]]) for g in gens
+        np.array_equal(table[table[:, g]], np.take(table, table[g], axis=1))
+        for g in gens
     ):
         return
     _latin_check(table)
@@ -413,7 +425,8 @@ def _latin_and_associativity_check(table: np.ndarray) -> None:
                 f"associativity fails at ({a}, {b}, {c})", witness=(a, int(b), int(c))
             )
     # unreachable: a failing generator g has a failing triple (a, g, c), and
-    # a Latin table has at most floor(log2 n) greedy generators
+    # a table with no failing triple is a group, whose greedy generators
+    # number at most floor(log2 n)
     raise AssertionError("Light's test failed on an associative Latin table")
 
 
@@ -423,11 +436,12 @@ def validate_axioms(G: FiniteGroup) -> None:
 
     Associativity is exact but not cubic (Light's test): it is checked for
     every (a, g, c) with g in a greedy generating set of at most
-    floor(log2 n) elements, and the elements that pass are closed under
-    products, so passing on generators means passing everywhere.  A table
-    that passes is a group and so Latin; the Latin check runs only when
-    Light's test fails (or the generating set outgrows floor(log2 n),
-    which no Latin table does).  On failure the error is unchanged by this
+    floor(log2 n) elements, grown as the orbit of the identity under right
+    multiplication by the generators, and the elements that pass are closed
+    under products, so passing on generators means passing everywhere.  A
+    table that passes is a group and so Latin; the Latin check runs only
+    when Light's test fails (or the generating set outgrows floor(log2 n),
+    which no group makes it do).  On failure the error is unchanged by this
     order: the first repeating row, else the first repeating column, else
     the first failing triple (a, b, c) in lexicographic order, as an
     exhaustive scan would report it."""

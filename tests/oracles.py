@@ -2,10 +2,16 @@
 
 Everything here works on a plain list-of-lists multiplication table and
 favors the most obvious loops over any cleverness; the point is to be
-unarguably correct, not fast.  Keep the inputs tiny.
+unarguably correct, not fast.  Keep the inputs tiny.  The exception is
+light_generators_by_closure, a numpy routine built on the library's
+closure, which is fast enough to check every corpus group.
 """
 
 import itertools
+
+import numpy as np
+
+from largesub.groups import _close
 
 
 def as_rows(table):
@@ -159,6 +165,26 @@ def is_associative(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+def light_generators_by_closure(table):
+    """Greedy generators for Light's test, each step closing the set under
+    products on both sides: the least index outside the closure so far,
+    until the closure is everything.  None once more than floor(log2 n)
+    would be needed.  The library grows the same set as a one-sided orbit,
+    which gives the same list on every group."""
+    table = np.asarray(table)
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    gens = []
+    while not inside.all():
+        if len(gens) == n.bit_length() - 1:
+            return None
+        g = int(np.argmin(inside))
+        gens.append(g)
+        inside[_close(table, np.flatnonzero(inside), np.asarray([g]))] = True
+    return gens
 
 
 class ClosureCapExceeded(Exception):

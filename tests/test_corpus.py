@@ -235,6 +235,44 @@ def test_a_name_of_true_does_not_keep_the_list():
     assert (named.build().table == rec.build().table).all()
 
 
+def _relabelled_a5_line(**dump_options):
+    # A5 with its elements shuffled, the identity off index 0: a long
+    # body whose entries have one and two digits
+    G = ls.alternating_group(5)
+    perm = np.random.default_rng(60).permutation(G.order)
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    record = {"kind": "table", "name": "A5", "order": G.order, "table": table.ravel().tolist()}
+    return json.dumps(record, **dump_options)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [(",", ",,"), ("[", "[,"), (",", ", ,")],
+    ids=["double_comma_deep_inside", "leading_comma", "comma_space_comma"],
+)
+def test_empty_tokens_take_the_general_route(old, new):
+    line = _relabelled_a5_line(separators=(",", ":"))
+    # the first "[" opens the table; a "," is taken halfway along it
+    at = line.index("[") if old == "[" else line.index(",", len(line) // 2)
+    line = line[:at] + new + line[at + 1 :]
+    assert corpus._table_body(line) is None
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        json.loads(line)
+    good = dump_record(ls.cyclic_group(2))
+    with pytest.raises(ls.CorpusFormatError) as info:
+        list(iter_records([good, "", line]))
+    assert info.value.line_no == 3
+    assert str(info.value) == f"line 3: invalid JSON ({parsed.value.msg})"
+
+
+def test_spaced_separators_are_read_the_canonical_way():
+    compact = corpus._table_body(_relabelled_a5_line(separators=(",", ":")))
+    spaced = corpus._table_body(_relabelled_a5_line())
+    assert compact["table"].dtype == spaced["table"].dtype == np.int64
+    assert np.array_equal(compact["table"], spaced["table"])
+
+
 _ENTRY = st.one_of(
     st.integers(0, 2),
     st.integers(0, 2),  # listed twice, so that more draws are valid entries

@@ -215,8 +215,21 @@ def test_validate_axioms_matches_exhaustive_scan_on_random_loops():
 def test_light_generator_count_is_logarithmic(small_zoo):
     for G in small_zoo:
         gens = _light_generators(G.table)
-        assert len(gens) <= G.order.bit_length()  # floor(log2 n) + 1
+        assert len(gens) <= G.order.bit_length() - 1  # floor(log2 n)
         assert G.closure_of(gens).is_whole
+
+
+def test_light_generators_match_the_closure_oracle(corpus, small_zoo):
+    # in a group the orbit of 0 under right multiplication by the greedy
+    # generators is the subgroup they generate, so the list is the same,
+    # as given and with the elements other than the identity shuffled
+    rng = np.random.default_rng(16)
+    for G in [*corpus, *small_zoo]:
+        perm = np.concatenate(([0], 1 + rng.permutation(G.order - 1)))
+        shuffled = np.empty_like(G.table)
+        shuffled[np.ix_(perm, perm)] = perm[G.table]
+        for table in (G.table, shuffled):
+            assert _light_generators(table) == oracles.light_generators_by_closure(table)
 
 
 def test_from_table_rejects_broken_rows():

@@ -90,6 +90,17 @@ FAMILIES = (
     "subgroup_series",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
+
+
+def _long_double_comma_line() -> str:
+    # the table of A5, its 3,600 entries with one comma doubled halfway
+    entries = [str(v) for v in ls.alternating_group(5).table.ravel()]
+    entries.insert(1800, "")
+    return '{"kind":"table","name":"long_double_comma","order":60,"table":[%s]}' % ",".join(
+        entries
+    )
+
+
 # records the reader must refuse, or whose table the builder must refuse,
 # plus valid tables that take one route or the other through the reader
 MALFORMED_RECORDS = tuple(
@@ -108,7 +119,7 @@ MALFORMED_RECORDS = tuple(
 ) + (
     '{"kind":"table","name":"false_first","order":2,"table":[false,1,1,0]}',
     # x*y = x for distinct nonzero x, y and x*x = 0: identity and inverses,
-    # too many greedy generators for a Latin table
+    # too many greedy generators for a group
     '{"kind":"table","name":"not_latin","order":4,"table":[0,1,2,3,1,0,1,1,2,2,0,2,3,3,3,0]}',
     # C4 with 1*1 = 3: neither Latin nor associative
     '{"kind":"table","name":"bad_c4","order":4,"table":[0,1,2,3,1,3,3,0,2,3,0,1,3,0,1,2]}',
@@ -126,6 +137,8 @@ MALFORMED_RECORDS = tuple(
     '{"kind":"table","order":2,"table":[0,1,1,0],"name":"x]}"}',
     '{"kind":"table","name":"duplicate","table":[0],"order":2,"table":[0,1,1,0]}',
     '{"kind":"table","table":[0,1,1,0],"name":"table_first","order":2}',
+    '{"kind":"table","name":"leading_comma","order":2,"table":[,0,1,1,0]}',
+    _long_double_comma_line(),
 )
 
 
