@@ -6,13 +6,13 @@ class, and when a caller claims Fitting/formation behavior for a class
 that does not have it, the failure surfaces as a typed error carrying the
 two witnesses that break it.  Nothing here builds a group but
 class_residual, which tests quotients: the cores, radicals, components and
-the supersoluble residual work on the parent's table, and a ClassPredicate's
-member test takes a Subgroup, so class_radical and maximal_normal_members
-test each normal subgroup where it lies.  The joins (the Fitting and
-generalized Fitting subgroups, and the layer of the components) and the
-containment tests of class_radical, maximal_normal_members and the
-supersoluble residual read the class masks of the lattice record in
-structure.py.
+the supersoluble residual work on the parent's table.  Every core and
+radical, and maximal_normal_members, is the one maximal-member walk of the
+lattice record in structure.py: down the canonical list, testing a member
+where it lies only when no member found so far contains it.  A radical is
+the walk's only member.  The joins (the Fitting and generalized Fitting
+subgroups, and the layer of the components) and the supersoluble residual
+read the record's class masks too.
 """
 
 from __future__ import annotations
@@ -42,14 +42,22 @@ class RadicalResult:
     witness: str
 
 
-def _largest_closed_candidate(candidates: list[Subgroup], what: str) -> Subgroup:
-    # For genuinely join-closed families the largest candidate contains all
-    # others; assert it rather than trust it.
-    best = max(candidates, key=lambda N: N.order)
-    for N in candidates:
-        if not N <= best:
-            raise NotAFittingClassWitness(N, best, f"{what} candidates are not join-closed")
-    return best
+def _largest(lat, test, what: str) -> tuple[Subgroup, int]:
+    # the walk's only member, asserted rather than trusted, and the number
+    # of members inside it: those passing, for a test closed under normals
+    found = lat.maximal(test)
+    if not found:
+        raise NotAFittingClassWitness(None, None, f"no normal {what}, not even the trivial one")
+    first, *rest = (lat.members[i] for i in found)
+    if rest:
+        raise NotAFittingClassWitness(
+            first,
+            rest[0],
+            f"two maximal normal {what} (orders {first.order}, {rest[0].order}) "
+            "whose join leaves the class",
+        )
+    mask = lat.masks[found[0]]
+    return first, sum(not m & ~mask for m in lat.masks)
 
 
 def pi_core(x, pi, *, _validated: bool = False) -> RadicalResult:
@@ -58,11 +66,13 @@ def pi_core(x, pi, *, _validated: bool = False) -> RadicalResult:
         from .classes import _validate_pi
 
         pi = _validate_pi(pi)
-    pi = tuple(pi)
-    candidates = [N for N in normal_subgroups(x) if pi_part(N.order, pi) == N.order]
-    best = _largest_closed_candidate(candidates, f"normal {{{','.join(map(str, pi))}}}-subgroup")
+    pi, lat = tuple(pi), _lattice(x)
+    orders = [N.order for N in lat.members]
+    core, inside = _largest(
+        lat, lambda i: pi_part(orders[i], pi) == orders[i], f"{{{','.join(map(str, pi))}}}-subgroups"
+    )
     return RadicalResult(
-        best, f"largest of {len(candidates)} normal subgroups with order supported on {set(pi) or '{}'}"
+        core, f"largest of {inside} normal subgroups with order supported on {set(pi) or '{}'}"
     )
 
 
@@ -74,13 +84,14 @@ def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
 
     pi = _validate_pi(pi)
     complement = tuple(p for p in prime_factors(G.order) if p not in pi)
-    below = pi_core(G, complement, _validated=True).subgroup
-    candidates = [
-        M
-        for M in normal_subgroups(G)
-        if below <= M and pi_part(M.order // below.order, pi) == M.order // below.order
-    ]
-    sub = _largest_closed_candidate(candidates, "normal subgroup with pi-index over the pi'-core")
+    below, lat = pi_core(G, complement, _validated=True).subgroup, _lattice(G)
+    low = lat.masks[lat.index[below.elements]]
+
+    def above_with_pi_index(i):
+        index = lat.members[i].order // below.order
+        return not low & ~lat.masks[i] and pi_part(index, pi) == index
+
+    sub, _ = _largest(lat, above_with_pi_index, "subgroups with pi-index over the pi'-core")
     return RadicalResult(
         sub,
         f"preimage of the {set(pi)}-core of the quotient by the {set(complement) or '{}'}-core",
@@ -138,56 +149,31 @@ def generalized_fitting_subgroup(x) -> RadicalResult:
 
 def soluble_radical(G: FiniteGroup) -> RadicalResult:
     """Largest normal soluble subgroup."""
-    candidates = [N for N in normal_subgroups(G) if is_soluble(N)]
-    best = _largest_closed_candidate(candidates, "normal soluble subgroup")
-    return RadicalResult(best, f"largest of {len(candidates)} normal soluble subgroups")
+    lat = _lattice(G)
+    best, inside = _largest(lat, lambda i: is_soluble(lat.members[i]), "soluble subgroups")
+    return RadicalResult(best, f"largest of {inside} normal soluble subgroups")
 
 
 def class_radical(G: FiniteGroup, X: ClassPredicate) -> RadicalResult:
     """Largest normal X-subgroup, for X flagged as a Fitting class.  If the
-    normal X-members fail to be join-closed on this group, the two
-    incomparable maximal members are reported as NotAFittingClassWitness.
-    Maximality is tested on the class masks of G's lattice record."""
+    normal X-members fail to be join-closed on this group, the first two
+    maximal members are reported as NotAFittingClassWitness (both None
+    when not even the trivial subgroup is an X-group)."""
     if not X.closed_under.fitting_class:
         raise ClosureNotDeclared(f"class {X.name!r} is not flagged as a Fitting class")
     lat = _lattice(G)
-    members = [i for i, N in enumerate(lat.members) if X.member(N)]
-    # a proper superset comes later in canonical order, which also orders
-    # the maximal members by (order, element tuple)
-    maximal = [
-        lat.members[i]
-        for n, i in enumerate(members)
-        if not any(not lat.masks[i] & ~lat.masks[j] for j in members[n + 1 :])
-    ]
-    if len(maximal) == 1:
-        return RadicalResult(
-            maximal[0], f"unique maximal normal {X.name}-subgroup among {len(members)}"
-        )
-    first, second = maximal[:2]
-    raise NotAFittingClassWitness(
-        first,
-        second,
-        f"two maximal normal {X.name}-subgroups (orders {first.order}, {second.order}) "
-        "whose join leaves the class",
-    )
+    best, inside = _largest(lat, lambda i: X.member(lat.members[i]), f"{X.name}-subgroups")
+    return RadicalResult(best, f"unique maximal normal {X.name}-subgroup among {inside}")
 
 
 def maximal_normal_members(G: FiniteGroup, X: ClassPredicate) -> list[Subgroup]:
     """Inclusion-maximal normal X-subgroups in canonical order (there may be
-    several), for X flagged closed under normal subgroups.  The walk goes
-    down the canonical list, so every normal subgroup above N comes first:
-    N is not tested when it lies in a member already found, and is maximal
-    when it lies in none and passes the test.  Containment is read off the
-    class masks of G's lattice record."""
+    several), for X flagged closed under normal subgroups: the maximal
+    members of G's lattice record that are X-groups."""
     if not X.closed_under.normal_subgroups:
         raise ClosureNotDeclared(f"class {X.name!r} is not flagged closed under normal subgroups")
     lat = _lattice(G)
-    found: list[int] = []
-    for i in reversed(range(len(lat.masks))):
-        mask = lat.masks[i]
-        if not any(not mask & ~lat.masks[m] for m in found) and X.member(lat.members[i]):
-            found.append(i)
-    return [lat.members[i] for i in reversed(found)]
+    return [lat.members[i] for i in lat.maximal(lambda i: X.member(lat.members[i]))]
 
 
 def class_residual(G: FiniteGroup, X: ClassPredicate) -> Subgroup:

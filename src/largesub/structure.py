@@ -27,7 +27,7 @@ The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
 and the class of each element.  A subgroup generated by a union of
 classes is the first member whose mask contains them, since it lies in
-every other.  Two questions are answered on the record without closing
+every other.  Three questions are answered on the record without closing
 anything:
 
 * the derived and lower central series of a subgroup normal in its parent
@@ -41,18 +41,22 @@ anything:
 * the centralizer in G of a member N is the union of the classes whose
   representative commutes with N (it is normal), one k x |N| comparison,
   made once per member; the claim witnesses, all normal in G, read their
-  centralizer order and largeness off it.
+  centralizer order and largeness off it;
+* the maximal members passing a test (the maximal normal subgroups, and
+  the cores, radicals and maximal normal class members in radicals.py)
+  come from one walk down the list, which tests a member only when no
+  member found so far contains it.
 
 The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  A join of normal
 subgroups (the socle, and the Fitting subgroups in radicals.py) is the
 first member over the OR of their masks, and a chief series steps to the
-next member whose mask contains the last.  Minimal and
-maximal normal subgroups compare masks with the earlier or later members
-only, since a proper subgroup comes earlier in the canonical order.  The
-normal structure functions and the series take a group or a Subgroup H of
-it and work on the parent's table, memoizing H's results on the parent.
+next member whose mask contains the last.  Minimal normal subgroups
+compare masks with the earlier members only, since a proper subgroup
+comes earlier in the canonical order.  The normal structure functions and
+the series take a group or a Subgroup H of it and work on the parent's
+table, memoizing H's results on the parent.
 Only the composition factors build groups, induced groups and their
 quotients, and only a class defined by a user needs them:
 in_extension_closure decides the built-in classes from the chief factor
@@ -171,8 +175,15 @@ def centralizer(G: FiniteGroup, elements) -> Subgroup:
 
 
 def center(x) -> Subgroup:
-    """Elements of a group or a subgroup H commuting with all of H."""
-    return _memoized(x, "center", lambda H: intersect(centralizer(H.parent, H), H))
+    """Elements of a group or a subgroup H commuting with all of H: those
+    whose row of H's block of the table equals their column."""
+    return _memoized(x, "center", _center)
+
+
+def _center(H: Subgroup) -> Subgroup:
+    hs = H.as_array()
+    block = H.parent.table[hs[:, None], hs]
+    return Subgroup._sorted(H.parent, tuple(hs[(block == block.T).all(axis=1)].tolist()))
 
 
 def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
@@ -253,6 +264,17 @@ class _Lattice:
 
     def order(self, mask: int) -> int:
         return sum(self.sizes[j] for j in _bits(mask))
+
+    def maximal(self, test) -> list[int]:
+        """Positions, in canonical order, of the inclusion-maximal members
+        i with test(i).  The walk goes down the list, so every member above
+        N_i comes first: N_i is not tested when it lies in a member already
+        found, and is maximal when it lies in none and passes."""
+        found: list[int] = []
+        for i in reversed(range(len(self.masks))):
+            if all(self.masks[i] & ~self.masks[j] for j in found) and test(i):
+                found.append(i)
+        return found[::-1]
 
     def commutator(self, i: int, j: int) -> int:
         """Position of [N_i, N_j] for members i and j, gathered once per
@@ -421,8 +443,7 @@ def _minimal_normals(H: Subgroup) -> list[Subgroup]:
 
 def maximal_normal_subgroups(x) -> list[Subgroup]:
     """Maximal normal subgroups of a group or a subgroup, in canonical
-    order.  A proper superset comes later in that order, so each member is
-    tested against the later ones only."""
+    order: the maximal members of the lattice record short of the top."""
     if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no maximal normal subgroups")
     return list(_memoized(x, "maximal_normal_subgroups", _maximal_normals))
@@ -430,12 +451,8 @@ def maximal_normal_subgroups(x) -> list[Subgroup]:
 
 def _maximal_normals(H: Subgroup) -> list[Subgroup]:
     lat = _lattice(H)
-    masks, top = lat.masks, len(lat.masks) - 1
-    return [
-        lat.members[i]
-        for i in range(top)
-        if not any(not masks[i] & ~masks[j] for j in range(i + 1, top))
-    ]
+    top = len(lat.masks) - 1
+    return [lat.members[i] for i in lat.maximal(lambda i: i != top)]
 
 
 def _normal_join(H: Subgroup, normals) -> Subgroup:

@@ -15,13 +15,21 @@ and quasi-simplicity against its quotient-by-center definition.
 Class membership is tested on a Subgroup inside its parent; every built-in
 class is checked against the same test on the induced group, and
 maximal_normal_members against the full scan over induced groups that it
-replaced."""
+replaced.
 
+The cores, radicals and maximal normal subgroups come from one walk down
+the lattice record that skips the members inside those already found.
+Over the whole corpus they are checked against the full scan they
+replaced: every normal member that passes, the largest one, and all of
+them inside it."""
+
+import itertools
 import random
 
 import pytest
 
 import largesub as ls
+from largesub.groups import pi_part
 
 PRIME_SETS = [(2,), (3,), (2, 3), (5,)]
 
@@ -235,3 +243,78 @@ def test_class_membership_builds_no_group(small_zoo, monkeypatch):
             if X.closed_under.fitting_class:
                 ls.class_radical(G, X)
     assert built == []
+
+
+# the built-in Fitting classes, with the prime sets of the radicals family
+# of tools/dump_outputs.py
+FITTING_KEYS = (
+    "nilpotent",
+    "soluble",
+    "quasinilpotent",
+    "pi_separable:2",
+    "pi_separable:2,3",
+    "normal_hall_pi_prime:2",
+    "normal_hall_pi_prime:3",
+)
+
+
+def _full_scan(normals, test):
+    # the old path: the largest passing member, asserted to contain every
+    # other, and the number passing
+    passing = [N for N in normals if test(N)]
+    best = max(passing, key=lambda N: N.order)
+    assert all(N <= best for N in passing)
+    return best, len(passing)
+
+
+def _maximal(members):
+    return [N for N in members if not any(N < M for M in members)]
+
+
+def _pi_sets(G):
+    primes = ls.prime_factors(G.order)
+    return [pi for r in range(1, len(primes) + 1) for pi in itertools.combinations(primes, r)]
+
+
+def test_walk_cores_and_radicals_match_the_full_scan(corpus):
+    for G in corpus:
+        normals = ls.normal_subgroups(G)
+        for pi in _pi_sets(G):
+            where = (G.display_name, pi)
+            core, passing = _full_scan(normals, lambda N: pi_part(N.order, pi) == N.order)
+            got = ls.pi_core(G, pi)
+            assert got.subgroup == core, where
+            assert got.witness == (
+                f"largest of {passing} normal subgroups with order supported on {set(pi)}"
+            ), where
+            complement = tuple(p for p in ls.prime_factors(G.order) if p not in pi)
+            below, _ = _full_scan(normals, lambda N: pi_part(N.order, complement) == N.order)
+            two_step, _ = _full_scan(
+                normals,
+                lambda M: below <= M
+                and pi_part(M.order // below.order, pi) == M.order // below.order,
+            )
+            assert ls.pi_prime_pi_core(G, pi).subgroup == two_step, where
+        radical, passing = _full_scan(normals, ls.is_soluble)
+        got = ls.soluble_radical(G)
+        assert got.subgroup == radical, G.display_name
+        assert got.witness == f"largest of {passing} normal soluble subgroups", G.display_name
+
+
+def test_walk_class_members_match_the_full_scan(corpus):
+    classes = [ls.builtin_class(key) for key in dict.fromkeys(FITTING_KEYS + BUILTIN_KEYS)]
+    for G in corpus:
+        normals = ls.normal_subgroups(G)
+        if len(normals) > 1:
+            assert ls.maximal_normal_subgroups(G) == _maximal(normals[:-1]), G.display_name
+        for X in classes:
+            where = (G.display_name, X.name)
+            passing = [N for N in normals if X.member(N)]
+            assert ls.maximal_normal_members(G, X) == _maximal(passing), where
+            if X.closed_under.fitting_class:
+                radical, count = _full_scan(passing, lambda N: True)
+                got = ls.class_radical(G, X)
+                assert got.subgroup == radical, where
+                assert got.witness == (
+                    f"unique maximal normal {X.name}-subgroup among {count}"
+                ), where

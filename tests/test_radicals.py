@@ -131,6 +131,16 @@ def test_class_radical_reports_join_failure():
     assert info.value.first != info.value.second
 
 
+def test_class_radical_of_a_class_without_members(s4):
+    # not even the trivial subgroup passes: a typed error, like
+    # class_residual's for a class rejecting the trivial quotient
+    nothing = ls.ClassPredicate("empty", lambda G: False, ls.ClosureFlags(fitting_class=True))
+    with pytest.raises(ls.NotAFittingClassWitness) as info:
+        ls.class_radical(s4, nothing)
+    assert info.value.first is None and info.value.second is None
+    assert str(info.value) == "no normal empty-subgroups, not even the trivial one"
+
+
 def test_maximal_normal_members_d8():
     abelian = ls.builtin_class("abelian")
     D8 = ls.dihedral_group(8)

@@ -56,8 +56,20 @@ def test_class_sizes_s4(s4):
 
 
 def test_center_matches_oracle(small_zoo):
+    # on every normal subgroup, and on the subgroups generated by two
+    # consecutive class representatives, many of them not normal
+    non_normal = 0
     for G in small_zoo:
-        assert sorted(ls.center(G).elements) == oracles.center(_rows(G)), G.display_name
+        rows = _rows(G)
+        assert sorted(ls.center(G).elements) == oracles.center(rows), G.display_name
+        reps = [c[0] for c in ls.conjugacy_classes(G)]
+        pairs = [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+        for S in ls.normal_subgroups(G) + pairs:
+            back = S.elements
+            want = [back[i] for i in oracles.center(oracles.induced_table(rows, back))]
+            assert ls.center(S).elements == tuple(want), (G.display_name, back)
+            non_normal += not S.is_normal()
+    assert non_normal >= 10
 
 
 def test_centralizer_matches_oracle(small_zoo):

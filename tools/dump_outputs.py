@@ -42,6 +42,12 @@ families, each hashed over all 243 groups in corpus order:
                        representatives of G (chains and factor orders;
                        many of these subgroups are not normal), then
                        components(G) and layer(G)
+    radicals           pi_core and pi_prime_pi_core of G for every
+                       nonempty set of primes of |G|, soluble_radical(G)
+                       and class_radical(G, X) for each of RADICAL_CLASSES
+                       (subgroup and witness string), the minimal and
+                       maximal normal subgroups of G, and the
+                       maximal_normal_members of each of MEMBER_CLASSES
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -51,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -88,6 +95,24 @@ FAMILIES = (
     "ingest",
     "lattice_answers",
     "subgroup_series",
+    "radicals",
+)
+RADICAL_CLASSES = (
+    "nilpotent",
+    "soluble",
+    "quasinilpotent",
+    "pi_separable:2",
+    "pi_separable:2,3",
+    "normal_hall_pi_prime:2",
+    "normal_hall_pi_prime:3",
+)
+MEMBER_CLASSES = (
+    "abelian",
+    "nilpotent",
+    "nilpotent_class:2",
+    "soluble_derived:2",
+    "supersoluble",
+    "quasinilpotent",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 
@@ -191,6 +216,28 @@ def _subgroup_series(G) -> list:
     ]
 
 
+def _radical(result) -> list:
+    return [result.subgroup.elements, result.witness]
+
+
+def _radicals(G) -> list:
+    primes = ls.prime_factors(G.order)
+    pi_sets = [pi for r in range(1, len(primes) + 1) for pi in itertools.combinations(primes, r)]
+    extremes = (
+        [ls.minimal_normal_subgroups(G), ls.maximal_normal_subgroups(G)] if G.order > 1 else []
+    )
+    return [
+        [[_radical(ls.pi_core(G, pi)), _radical(ls.pi_prime_pi_core(G, pi))] for pi in pi_sets],
+        _radical(ls.soluble_radical(G)),
+        [_radical(ls.class_radical(G, ls.builtin_class(key))) for key in RADICAL_CLASSES],
+        [[N.elements for N in found] for found in extremes],
+        [
+            [M.elements for M in ls.maximal_normal_members(G, ls.builtin_class(key))]
+            for key in MEMBER_CLASSES
+        ],
+    ]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -215,6 +262,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
             put("invariants", [ls.nilpotency_class(x), ls.derived_length(x)])
         put("lattice_answers", _lattice_answers(G, normals))
         put("subgroup_series", _subgroup_series(G))
+        put("radicals", _radicals(G))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
