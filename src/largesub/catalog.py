@@ -12,13 +12,13 @@ import re
 
 import numpy as np
 
-from .errors import OrderCapExceeded, UnknownName
+from .errors import UnknownName
 from .groups import (
     FiniteGroup,
+    _check_cap,
     cyclic_group,
     direct_product,
     from_permutation_generators,
-    order_cap,
 )
 
 
@@ -36,9 +36,7 @@ def dihedral_group(order: int, *, cap=None) -> FiniteGroup:
     element (a, b) standing for rotation^a * flip^b."""
     if order < 2 or order % 2 != 0:
         raise UnknownName(f"dihedral order must be even and >= 2, got {order}")
-    limit = order_cap(cap)
-    if order > limit:
-        raise OrderCapExceeded(order, limit)
+    _check_cap(order, cap)
     k = order // 2
     table = np.empty((order, order), dtype=np.int32)
     for a1 in range(k):
@@ -65,6 +63,7 @@ _QUAT_MUL = {
 def quaternion_group(order: int = 8, *, cap=None) -> FiniteGroup:
     if order != 8:
         raise UnknownName(f"only the order-8 quaternion group is built in, got {order}")
+    _check_cap(8, cap)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
     def mul(x, y):
@@ -108,6 +107,7 @@ def alternating_group(n: int, *, cap=None) -> FiniteGroup:
 
 def special_linear_2_3(*, cap=None) -> FiniteGroup:
     """All 2x2 matrices over the 3-element field with determinant 1."""
+    _check_cap(24, cap)
     mats = []
     for a in range(3):
         for b in range(3):

@@ -6,22 +6,27 @@ subnormal subgroups from iterating normality to a fixpoint.  Results are
 returned in a canonical order (by order, then by element tuple) so every
 run of every enumeration is reproducible.
 
-The classes come from one table gather: row i holds every conjugate of
-the i-th element, and the least entry of the row labels its class.
-Normal subgroups are enumerated on class bitmasks: a normal subgroup is a
-union of classes, held as a Python int with bit j set for the j-th class.
-Nothing is closed element by element.  One k x |H| gather builds a
-temporary class product table, hit[i, j, l] when class l meets rep_i
-times class j (x * class_j for x in class i is a conjugate of rep_i *
-class_j).  The closure of class j is the fixpoint of M <- M * class_j on
-masks, each step an OR of the rows of column j for the classes new to M;
-a class and its inverse class are closed once.  The rows of each distinct
-closure C (the classes met by rep_i times C) are one gather read off the
-same table, the product of a normal subgroup N with C is the OR of those
-rows over the classes of N, and only the final list is turned back into
-element tuples.  The table lives for one lattice and is never memoized;
-is_simple builds one too and stops at the first class whose closure falls
-short of H.
+The classes come from one flat take on the table: column i holds every
+conjugate of the i-th element, and the least entry of the column labels
+its class.  Normal subgroups are enumerated on class bitmasks: a normal
+subgroup is a union of classes, held as a Python int with bit j set for
+the j-th class.  Nothing is closed element by element.  One k x |H|
+gather holds a temporary class product table, hit[j, i, l] when class l
+meets rep_i times class j (x * class_j for x in class i is a conjugate of
+rep_i * class_j).  It is read out in blocks of columns j, each one bool
+scatter of at most _BLOCK_BYTES (256 KiB) packed into bitmask rows, so a
+group with at most 64 classes is one block and a group with more classes
+takes a few columns at a time in bounded memory.  The closure of class j
+is the fixpoint of M <- M * class_j on masks, each step an OR of the rows
+of column j for the classes new to M; a class and its inverse class are
+closed once, and only the columns of the classes closed are scattered.
+The same fixpoint from class i on that column gives class_i * C for the
+closure C.  These sets partition the classes, so the product of a normal
+subgroup N with C is the union of the parts N meets.  A closure that is
+already a product of earlier ones adds nothing.  Only the final list is
+turned back into element tuples.  The table lives for one lattice and is
+never memoized; is_simple reads the same blocks and stops at the first
+class whose closure falls short of H.
 
 The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
@@ -127,12 +132,15 @@ def conjugacy_classes(x) -> list[tuple[int, ...]]:
 
 
 def _classes(H: Subgroup) -> list[tuple[int, ...]]:
-    # row i of the gather holds g * h_i * g^-1 for every g in H, the whole
-    # class of h_i, so its least entry labels the class; a stable sort by
-    # label keeps each class in ascending order
+    # column i of the gather holds g * h_i * g^-1 for every g in H, the
+    # whole class of h_i, so its least entry labels the class; a stable
+    # sort by label keeps each class in ascending order.  g * h_i is entry
+    # [g, i] of the table (of H's block of it for a proper subgroup), and
+    # one flat take multiplies it by g^-1
     G = H.parent
     hs = H.as_array()
-    least = G.table[G.table[hs, hs[:, None]], G.inverses[hs]].min(axis=1)
+    left = G.table if H.is_whole else G.table[hs[:, None], hs]
+    least = G.table.ravel().take(left * G.order + G.inverses[hs][:, None]).min(axis=0)
     order = np.argsort(least, kind="stable")
     labels, members = least[order], hs[order].tolist()
     cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(members)]
@@ -233,8 +241,9 @@ def normal_subgroups(x) -> list[Subgroup]:
     class bitmasks (bit j for the j-th class of conjugacy_classes(H)): for
     a closure C, the classes of N*C are the classes of rep_j*C over the
     classes j of N, since x*C for x in class j is a conjugate of rep_j*C.
-    So one k x |C| table gather per distinct closure gives the bitmask of
-    each rep_j*C, and each product N*C is an OR of those ints."""
+    Each closure, and each rep_j*C, is a fixpoint on one column of the
+    class product table, which is scattered in blocks of at most
+    _BLOCK_BYTES: one block for a group with at most 64 classes."""
     return _memoized(x, "normal_subgroups", lambda H: _lattice(H).members)
 
 
@@ -327,88 +336,136 @@ def _pack(hit: np.ndarray) -> int:
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
+# Bytes of one block of the class product table: a block of b columns is
+# a b x k x 64w bool scatter (w 64-bit words per class bitmask), so every
+# group with at most 64 classes is one block, and a group with more
+# classes reads its table a few columns at a time in bounded memory.
+_BLOCK_BYTES = 1 << 18
+
+
 class _ClassProducts:
     """The class product table of a group or subgroup H, built per lattice
-    and never memoized: hit[i, j, l] holds when class l meets rep_i times
+    and never memoized: hit[j, i, l] holds when class l meets rep_i times
     class j.  For x in class i, x * class_j is a conjugate of rep_i *
-    class_j, so one k x |H| gather fills the table.  It is held as that
-    gather, the class of rep_i * h for every h of H listed class by class,
-    and read as bitmask rows over any union of columns."""
+    class_j, so one k x |H| gather, the class of rep_i * h for every h of
+    H listed class by class, holds the whole table.  It is read out in
+    blocks of columns j, each one bool scatter of at most _BLOCK_BYTES
+    packed into bitmask rows."""
 
     def __init__(self, H: Subgroup):
         G = H.parent
         classes = conjugacy_classes(H)
         self.k = k = len(classes)
-        self.reps = np.asarray([c[0] for c in classes], dtype=np.int64)
-        self.class_of = np.full(G.order, -1, dtype=np.int32)
-        for j, cls in enumerate(classes):
-            self.class_of[list(cls)] = j
+        self.sizes = tuple(map(len, classes))
         elements = np.fromiter((x for c in classes for x in c), dtype=np.int64, count=H.order)
-        self.cuts = [0, *np.cumsum([len(c) for c in classes]).tolist()]
+        cuts = [0, *np.cumsum(self.sizes).tolist()]
+        # the class of each column: one step up at the first member of
+        # each class after the identity's
+        steps = np.zeros(H.order, dtype=np.int32)
+        steps[cuts[1:-1]] = 1
+        self.column_class = steps.cumsum(dtype=np.int32)
+        self.class_of = np.full(G.order, -1, dtype=np.int32)
+        self.class_of[elements] = self.column_class
+        self.reps = elements[cuts[:-1]]
         self.products = self.class_of[G.table[self.reps[:, None], elements]]
-        self.column_class = self.class_of[elements]
-        self.inverse_class = self.class_of[G.inverses[self.reps]].tolist()
+        inverse_class = self.class_of[G.inverses[self.reps]].tolist()
+        # a class and its inverse class close to the same subgroup
+        self.generating = [j for j in range(1, k) if inverse_class[j] >= j]
+        self.words = -(-k // 64)
+        self.span = max(1, _BLOCK_BYTES // (k * 64 * self.words))
 
-    def generating_classes(self):
-        """The nontrivial classes whose closures are all class closures:
-        a class and its inverse class close to the same subgroup, so each
-        pair is taken once."""
-        return (j for j in range(1, self.k) if self.inverse_class[j] >= j)
+    def columns(self, classes: list[int]):
+        """(j, column j) for the classes j listed, in ascending order:
+        entry i of column j is the bitmask of the classes met by rep_i *
+        class_j.  Each block of span listed classes is one scatter."""
+        k = self.k
+        listed = np.zeros(k, dtype=bool)
+        listed[classes] = True
+        # the columns of the listed classes, class by class, and the
+        # position of each one's class in the list
+        picked = np.flatnonzero(listed[self.column_class])
+        position = np.zeros(k, dtype=np.int64)
+        position[classes] = np.arange(len(classes))
+        at = position[self.column_class[picked]]
+        cuts = [0, *np.cumsum([self.sizes[j] for j in classes]).tolist()]
+        for a in range(0, len(classes), self.span):
+            b = min(a + self.span, len(classes))
+            block = self._block(b - a, at[cuts[a] : cuts[b]] - a, picked[cuts[a] : cuts[b]])
+            yield from zip(classes[a:b], block)
 
-    def _rows(self, columns) -> list[int]:
-        # row i: bitmask of the classes met in row i of the chosen columns,
-        # packed into 64-bit words and read out as Python ints
-        words = -(-self.k // 64)
-        hit = np.zeros((self.k, 64 * words), dtype=bool)
-        hit[np.arange(self.k)[:, None], self.products[:, columns]] = True
-        packed = np.packbits(hit, axis=1, bitorder="little").view("<u8")
+    def _block(self, count: int, at: np.ndarray, columns: np.ndarray) -> list[list[int]]:
+        # count columns of the table in one scatter, column h of H adding
+        # to block column at[h]; each row packed into 64-bit words and read
+        # out as an int
+        k, words = self.k, self.words
+        hit = np.zeros((count, k, 64 * words), dtype=bool)
+        hit[at, np.arange(k)[:, None], self.products[:, columns]] = True
+        packed = np.packbits(hit, axis=2, bitorder="little").view("<u8").reshape(-1, words)
         rows = packed[:, -1].tolist()
         for w in range(words - 2, -1, -1):
             rows = [high << 64 | low for high, low in zip(rows, packed[:, w].tolist())]
-        return rows
+        return [rows[i : i + k] for i in range(0, len(rows), k)]
 
-    def closure(self, j: int) -> int:
-        """Class bitmask of the subgroup generated by class j, normal in H:
-        the fixpoint of M <- M * class_j from the identity class, where
-        only the classes new to M add rows."""
-        column = self._rows(slice(self.cuts[j], self.cuts[j + 1]))
-        mask = new = 1
+    def closures(self):
+        """(column j, closure of class j) for the nontrivial classes j
+        whose closures are all class closures, one of each class and its
+        inverse class."""
+        for _, column in self.columns(self.generating):
+            yield column, _fixpoint(column, 1)
+
+
+def _fixpoint(column, mask: int) -> int:
+    """Class bitmask of S * C, for the classes S in mask and the subgroup C
+    generated by the class of the column, normal in H: the fixpoint of
+    M <- M * class_j from S, where only the classes new to M add rows.
+    From the identity class it is C itself."""
+    new = mask
+    while new:
+        step = 0
         while new:
-            step = 0
-            for a in _bits(new):
-                step |= column[a]
-            new = step & ~mask
-            mask |= new
-        return mask
+            low = new & -new
+            step |= column[low.bit_length() - 1]
+            new ^= low
+        new = step & ~mask
+        mask |= new
+    return mask
 
-    def rows(self, mask: int) -> list[int]:
-        """Row i is the class bitmask of rep_i * C, for the union C of the
-        classes in mask."""
-        inside = np.zeros(self.k, dtype=bool)
-        inside[list(_bits(mask))] = True
-        return self._rows(inside[self.column_class])
+
+def _cosets(column, C: int, k: int) -> list[int]:
+    """The class bitmasks of the sets class_i * C, for the subgroup C the
+    class of the column generates, each a fixpoint from class i, C itself
+    first.  They partition the classes: every class l that class_i * C
+    meets has class_l * C = class_i * C, since C is normal."""
+    parts, rest = [C], ((1 << k) - 1) & ~C
+    while rest:
+        part = _fixpoint(column, rest & -rest)
+        parts.append(part)
+        rest &= ~part
+    return parts
 
 
 def _normals(H: Subgroup) -> _Lattice:
     G = H.parent
     classes = conjugacy_classes(H)
     table = _ClassProducts(H)
-    # the rows of each distinct class closure C
+    # each distinct class closure C with its first column
     closures = {}
-    for j in table.generating_classes():
-        C = table.closure(j)
-        if C not in closures:
-            closures[C] = table.rows(C)
-    found = {1: [0]}  # each product's classes; first the trivial subgroup
-    for C, rows in closures.items():
-        for N, bits in [(N, bits) for N, bits in found.items() if C & ~N]:  # else C lies in N
+    for column, C in table.closures():
+        closures.setdefault(C, column)
+    found = {1}  # the trivial subgroup, then every product
+    for C, column in closures.items():
+        if C in found:  # a join of earlier closures adds no product
+            continue
+        # N * C is the union of the cosets of C that N meets
+        parts = _cosets(column, C, table.k)
+        for N in [N for N in found if C & ~N]:  # else C lies in N
             product = 0
-            for i in bits:
-                product |= rows[i]
-            if product not in found:
-                found[product] = list(_bits(product))
+            for part in parts:
+                if part & N:
+                    product |= part
+            found.add(product)
     ranked = sorted(
-        ((tuple(sorted(x for i in bits for x in classes[i])), N) for N, bits in found.items()),
+        ((tuple(sorted(x for i in _bits(N) for x in classes[i])), N) for N in found),
         key=lambda pair: (len(pair[0]), pair[0]),
     )
     return _Lattice(
@@ -418,7 +475,7 @@ def _normals(H: Subgroup) -> _Lattice:
         index={t: i for i, (t, _) in enumerate(ranked)},
         class_of=table.class_of,
         reps=table.reps,
-        sizes=tuple(map(len, classes)),
+        sizes=table.sizes,
     )
 
 
@@ -489,7 +546,7 @@ def is_simple(x) -> bool:
         return False
     table = _ClassProducts(H)
     whole = (1 << table.k) - 1
-    return all(table.closure(j) == whole for j in table.generating_classes())
+    return all(C == whole for _, C in table.closures())
 
 
 # -- series -----------------------------------------------------------------

@@ -187,6 +187,97 @@ def light_generators_by_closure(table):
     return gens
 
 
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ClassProducts:
+    """The class product table of a library Subgroup H, read one class at
+    a time: hit[i, j, l] holds when class l meets rep_i times class j.
+    Classes come from two 2-d gathers (row i holds every conjugate of h_i),
+    class_of is filled class by class, and every closure and every
+    distinct closure's rows is its own k x k bool scatter."""
+
+    def __init__(self, H):
+        G = H.parent
+        hs = H.as_array()
+        least = G.table[G.table[hs, hs[:, None]], G.inverses[hs]].min(axis=1)
+        order = np.argsort(least, kind="stable")
+        labels, members = least[order], hs[order].tolist()
+        cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(members)]
+        self.classes = classes = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+        self.k = k = len(classes)
+        self.reps = np.asarray([c[0] for c in classes], dtype=np.int64)
+        self.class_of = np.full(G.order, -1, dtype=np.int32)
+        for j, cls in enumerate(classes):
+            self.class_of[list(cls)] = j
+        elements = np.fromiter((x for c in classes for x in c), dtype=np.int64, count=H.order)
+        self.cuts = [0, *np.cumsum([len(c) for c in classes]).tolist()]
+        self.products = self.class_of[G.table[self.reps[:, None], elements]]
+        self.column_class = self.class_of[elements]
+
+    def _rows(self, columns):
+        # row i: bitmask of the classes met in row i of the chosen columns
+        hit = np.zeros((self.k, self.k), dtype=bool)
+        hit[np.arange(self.k)[:, None], self.products[:, columns]] = True
+        return [int("".join("1" if b else "0" for b in row[::-1]), 2) for row in hit]
+
+    def closure(self, j):
+        """Class bitmask of the subgroup generated by class j: the fixpoint
+        of M <- M * class_j from the identity class."""
+        column = self._rows(slice(self.cuts[j], self.cuts[j + 1]))
+        mask = new = 1
+        while new:
+            step = 0
+            for a in _bits(new):
+                step |= column[a]
+            new = step & ~mask
+            mask |= new
+        return mask
+
+    def rows(self, mask):
+        """Row i is the class bitmask of rep_i * C, for the union C of the
+        classes in mask."""
+        inside = np.zeros(self.k, dtype=bool)
+        inside[list(_bits(mask))] = True
+        return self._rows(inside[self.column_class])
+
+
+def class_product_lattice(H):
+    """The normal-subgroup lattice record of a library Subgroup H from the
+    per-class enumeration: every product of class closures, each product
+    an OR of the closure's rows.  Returns the record's fields as a dict:
+    masks, members (element tuples), index, class_of, reps and sizes."""
+    table = ClassProducts(H)
+    closures = {}
+    for j in range(1, table.k):
+        C = table.closure(j)
+        if C not in closures:
+            closures[C] = table.rows(C)
+    found = {1}
+    for C, rows in closures.items():
+        for N in [N for N in found if C & ~N]:
+            product = 0
+            for i in _bits(N):
+                product |= rows[i]
+            found.add(product)
+    ranked = sorted(
+        ((tuple(sorted(x for i in _bits(N) for x in table.classes[i])), N) for N in found),
+        key=lambda pair: (len(pair[0]), pair[0]),
+    )
+    return {
+        "masks": tuple(N for _, N in ranked),
+        "members": [t for t, _ in ranked],
+        "index": {t: i for i, (t, _) in enumerate(ranked)},
+        "class_of": table.class_of,
+        "reps": table.reps,
+        "sizes": tuple(map(len, table.classes)),
+    }
+
+
 class ClosureCapExceeded(Exception):
     """The oracle's permutation closure outgrew its cap."""
 

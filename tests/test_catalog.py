@@ -99,8 +99,19 @@ def test_catalog_keys_mention_every_family():
         assert family in text
 
 
-def test_catalog_respects_order_cap():
+def test_catalog_respects_order_cap(monkeypatch):
     with pytest.raises(ls.OrderCapExceeded):
         ls.symmetric_group(6, cap=100)
     with pytest.raises(ls.OrderCapExceeded):
         ls.dihedral_group(16, cap=10)
+    for key in ("sl(2,3)", "quaternion(8)"):
+        with pytest.raises(ls.OrderCapExceeded):
+            ls.named_group(key, cap=4)
+    with pytest.raises(ls.OrderCapExceeded):
+        ls.special_linear_2_3(cap=23)
+    assert ls.quaternion_group(8, cap=8).order == 8
+    monkeypatch.setenv("LARGESUB_ORDER_CAP", "4")
+    for key in ("sl(2,3)", "quaternion(8)", "dihedral(8)", "symmetric(3)"):
+        with pytest.raises(ls.OrderCapExceeded):
+            ls.named_group(key)
+    assert ls.named_group("klein_four").order == 4

@@ -3,12 +3,14 @@ hand-verified constants."""
 
 import collections
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import largesub as ls
 from largesub.largeness import _witness
-from largesub.structure import _classes, _ClassProducts, _Lattice
+from largesub.structure import _classes, _ClassProducts, _fixpoint, _lattice, _Lattice
 
 import oracles
 
@@ -128,19 +130,56 @@ def test_normal_subgroups_match_oracle_on_corpus(corpus):
     assert checked == 62
 
 
+
+def test_lattice_records_match_the_per_class_enumeration(corpus):
+    # the whole record, off the blocked class product table, against one
+    # scatter per class closure and per distinct closure's rows: every
+    # corpus group and every subnormal subgroup of every eighth one
+    subgroups = [G.whole() for G in corpus]
+    for G in corpus[::8]:
+        subgroups += [S for S in ls.subnormal_subgroups(G) if not S.is_whole]
+    for S in subgroups:
+        lat, want = _lattice(S), oracles.class_product_lattice(S)
+        where = (S.parent.display_name, S.order)
+        assert lat.masks == want["masks"], where
+        assert [N.elements for N in lat.members] == want["members"], where
+        assert lat.index == want["index"], where
+        assert np.array_equal(lat.class_of, want["class_of"]), where
+        assert lat.class_of.dtype == want["class_of"].dtype, where
+        assert np.array_equal(lat.reps, want["reps"]), where
+        assert lat.sizes == want["sizes"], where
+    assert len(subgroups) > 1500
+
+
+def test_class_product_blocks_bound_memory():
+    # the table is scattered a block of at most _BLOCK_BYTES at a time; one
+    # block of every generating class would be 150 x 300 x 320 bools
+    # (14 MB) for cyclic(300) and 195 x 390 x 448 (33 MB) for cyclic(390)
+    G, S = ls.cyclic_group(300), ls.cyclic_group(390)
+    tracemalloc.start()
+    try:
+        assert len(ls.normal_subgroups(G)) == 18
+        assert not ls.is_simple(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
 def _mask_elements(classes, mask):
     return tuple(sorted(x for j, cls in enumerate(classes) if mask >> j & 1 for x in cls))
 
 
 def test_class_closures_match_normal_closure_on_corpus(corpus):
-    # every class of every corpus group, the inverse classes included
+    # every class of every corpus group, the inverse classes included: the
+    # closure is the fixpoint from the identity class on the class's column
+    # of the blocked class product table
     checked = 0
     for G in corpus:
         classes = ls.conjugacy_classes(G)
         table = _ClassProducts(G.whole())
-        for j, cls in enumerate(classes):
-            want = ls.normal_closure(G, cls).elements
-            assert _mask_elements(classes, table.closure(j)) == want, (G.display_name, j)
+        for j, column in table.columns(list(range(len(classes)))):
+            want = ls.normal_closure(G, classes[j]).elements
+            assert _mask_elements(classes, _fixpoint(column, 1)) == want, (G.display_name, j)
             checked += 1
     assert checked == sum(len(ls.conjugacy_classes(G)) for G in corpus)
 
