@@ -23,11 +23,13 @@ from .groups import (
 
 
 def trivial_group(*, cap=None) -> FiniteGroup:
+    _check_cap(1, cap)
     return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name="trivial", trusted=True)
 
 
 def klein_four_group(*, cap=None) -> FiniteGroup:
-    G = direct_product(cyclic_group(2), cyclic_group(2), cap=cap)
+    C2 = cyclic_group(2, cap=cap)
+    G = direct_product(C2, C2, cap=cap)
     return FiniteGroup(G.table, name="klein_four", trusted=True)
 
 
@@ -86,6 +88,7 @@ def symmetric_group(n: int, *, cap=None) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise UnknownName(f"symmetric({n}) is outside the built-in range 1..6")
     if n == 1:
+        _check_cap(1, cap)
         return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name="symmetric(1)", trusted=True)
     gens = ([1, 0, *range(2, n)], [*range(1, n), 0])
     return from_permutation_generators(gens, name=f"symmetric({n})", cap=cap)
@@ -95,6 +98,7 @@ def alternating_group(n: int, *, cap=None) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise UnknownName(f"alternating({n}) is outside the built-in range 1..6")
     if n <= 2:
+        _check_cap(1, cap)
         return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name=f"alternating({n})", trusted=True)
     three_cycles = []
     for c in range(2, n):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,13 +247,13 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup of a fixed parent, held as a sorted tuple of indices.
-
+    """A subgroup of a fixed parent, held only as its sorted tuple of indices:
+    membership bisects the tuple, and `<=` and index_set build fresh sets.
     Equality and hashing are by (parent identity, element set), so subgroups
     of the same parent behave as values while different parents never mix.
     """
 
-    __slots__ = ("parent", "elements", "_set")
+    __slots__ = ("parent", "elements")
 
     def __init__(self, parent: FiniteGroup, elements):
         self._fill(parent, tuple(sorted(set(int(e) for e in elements))))
@@ -272,7 +273,6 @@ class Subgroup:
         if parent.order % len(elems) != 0:
             raise BadArgument("subgroup size must divide the group order")
         self.elements = elems
-        self._set = frozenset(elems)
 
     @property
     def order(self) -> int:
@@ -280,7 +280,7 @@ class Subgroup:
 
     @property
     def index_set(self) -> frozenset:
-        return self._set
+        return frozenset(self.elements)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.elements, dtype=np.int64)
@@ -294,7 +294,8 @@ class Subgroup:
         return len(self.elements) == self.parent.order
 
     def __contains__(self, idx) -> bool:
-        return int(idx) in self._set
+        at = bisect_left(self.elements, idx := int(idx))
+        return self.elements[at : at + 1] == (idx,)
 
     def __iter__(self):
         return iter(self.elements)
@@ -315,7 +316,7 @@ class Subgroup:
     def __le__(self, other: Subgroup) -> bool:
         if self.parent is not other.parent:
             raise ForeignSubgroup("subgroups of different parents")
-        return self._set <= other._set
+        return self.index_set <= other.index_set
 
     def __lt__(self, other: Subgroup) -> bool:
         return self <= other and self.elements != other.elements

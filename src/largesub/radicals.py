@@ -215,23 +215,24 @@ def supersoluble_residual(G: FiniteGroup) -> Subgroup:
     """Smallest normal subgroup with supersoluble quotient (a kernel).  A
     proper normal N is a kernel exactly when it has prime index in some
     kernel, so walking G's lattice record down from G finds every kernel;
-    containment is tested on class masks before the index.  That the
-    smallest lies in all the others is asserted, not trusted.  Memoized on
-    G."""
+    the index is looked up among the prime divisors of |G| before
+    containment is tested on class masks.  That the smallest lies in all
+    the others is asserted, not trusted.  Memoized on G."""
     return _memoized(G, "supersoluble_residual", _supersoluble_residual)
 
 
 def _supersoluble_residual(H: Subgroup) -> Subgroup:
     lat = _lattice(H)
     masks, members = lat.masks, lat.members
+    orders = [N.order for N in members]
+    # every index divides |H|: test each divisor of |H| for primality once
+    n = orders[-1]
+    primes = frozenset(q for q in range(2, n + 1) if n % q == 0 and _is_prime(q))
     top = len(masks) - 1
     kernels = [top]
     for i in range(top - 1, -1, -1):
         # a later member containing N contains it properly
-        if any(
-            not masks[i] & ~masks[K] and _is_prime(members[K].order // members[i].order)
-            for K in kernels
-        ):
+        if any(orders[K] // orders[i] in primes and not masks[i] & ~masks[K] for K in kernels):
             kernels.append(i)
     least = kernels[-1]
     for K in kernels:

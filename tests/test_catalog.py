@@ -115,3 +115,28 @@ def test_catalog_respects_order_cap(monkeypatch):
         with pytest.raises(ls.OrderCapExceeded):
             ls.named_group(key)
     assert ls.named_group("klein_four").order == 4
+    # an explicit cap overrides the environment for every part of a build
+    monkeypatch.setenv("LARGESUB_ORDER_CAP", "1")
+    assert ls.named_group("klein_four", cap=4).order == 4
+    assert ls.klein_four_group(cap=4).order == 4
+    # a cap of 0 admits no group, not even the trivial one
+    builders = [
+        ls.trivial_group,
+        ls.klein_four_group,
+        ls.special_linear_2_3,
+        lambda cap: ls.cyclic_group(1, cap=cap),
+        lambda cap: ls.dihedral_group(2, cap=cap),
+        lambda cap: ls.quaternion_group(8, cap=cap),
+        *(lambda cap, n=n: ls.symmetric_group(n, cap=cap) for n in range(1, 7)),
+        *(lambda cap, n=n: ls.alternating_group(n, cap=cap) for n in range(1, 7)),
+    ]
+    for build in builders:
+        with pytest.raises(ls.OrderCapExceeded):
+            build(cap=0)
+    monkeypatch.setenv("LARGESUB_ORDER_CAP", "0")
+    for build in builders:
+        with pytest.raises(ls.OrderCapExceeded):
+            build(cap=None)
+    for key in ("trivial", "symmetric(1)", "alternating(1)", "alternating(2)", "cyclic(1)"):
+        with pytest.raises(ls.OrderCapExceeded):
+            ls.named_group(key)

@@ -21,9 +21,14 @@ The cores, radicals and maximal normal subgroups come from one walk down
 the lattice record that skips the members inside those already found.
 Over the whole corpus they are checked against the full scan they
 replaced: every normal member that passes, the largest one, and all of
-them inside it."""
+them inside it.
+
+A Subgroup holds only its sorted tuple of elements; membership,
+containment, index_set and intersect are checked against frozensets built
+from it."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -318,3 +323,29 @@ def test_walk_class_members_match_the_full_scan(corpus):
                 assert got.witness == (
                     f"unique maximal normal {X.name}-subgroup among {count}"
                 ), where
+
+
+def test_subgroup_operations_match_frozenset_oracles(corpus):
+    """Over every normal subgroup of the corpus: membership of each element
+    of the group and of one index on either side, index_set, and <=, <
+    and intersect with every member of the same lattice."""
+    total = 0
+    for G in corpus:
+        normals = ls.normal_subgroups(G)
+        total += len(normals)
+        sets = [frozenset(N.elements) for N in normals]
+        probe = range(-1, G.order + 1)
+        for N, s in zip(normals, sets):
+            where = (G.display_name, N.order)
+            assert [x in N for x in probe] == [x in s for x in probe], where
+            assert N.index_set == s, where
+            for M, t in zip(normals, sets):
+                assert (N <= M, N < M) == (s <= t, s < t), where
+                assert ls.intersect(N, M).elements == tuple(sorted(s & t)), where
+    assert total == 4842
+    for G, H in zip(corpus, corpus[1:]):
+        for N, M in ((G.trivial(), H.trivial()), (G.whole(), H.whole())):
+            assert N != M
+            for op in (operator.le, operator.lt, ls.intersect):
+                with pytest.raises(ls.ForeignSubgroup):
+                    op(N, M)

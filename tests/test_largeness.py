@@ -1,9 +1,11 @@
 """The largeness test itself, the claim verifiers and the scan."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -262,6 +264,28 @@ def test_scan_statuses(a4, a4xa4, sl23, a5):
     assert finding.residual_order == 16
     assert finding.report is not None
     assert all(w.is_large for w in finding.report.witnesses)
+
+
+# Python memory the scan leaves on its groups' caches, over every 8th
+# corpus group (31 groups, built fresh so no earlier test has filled their
+# caches): about 340 KiB when a lattice member holds only its sorted tuple,
+# about 1,190 KiB when each member also kept a frozenset of its elements.
+SCAN_HELD_BOUND = 600 * 1024
+
+
+def test_scan_caches_hold_little_memory():
+    groups = ls.reference_corpus()[::8]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        records = ls.scan_exceptional(groups)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(groups) == 31
+    assert held < SCAN_HELD_BOUND, f"{held / 1024:.0f} KiB held"
 
 
 # -- the constructive witness (B) ---------------------------------------------------
