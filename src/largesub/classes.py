@@ -19,8 +19,10 @@ from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
+    _bits,
     _lattice,
     _memoized,
+    _record_of,
     chief_series,
     composition_factors,
     derived_series,
@@ -61,9 +63,22 @@ class ClassPredicate:
 
 
 def is_abelian(x) -> bool:
-    """The H x H block of the parent's table equals its transpose; takes a
-    group or a subgroup H."""
+    """Takes a group or a subgroup H.  When H is a member of its parent G's
+    lattice record and that record is already memoized, the record decides:
+    an abelian H lies in C_G(z) for each z in H, so every G-class inside H
+    has a size dividing |G:H|, and a class that does not rules H out; past
+    that filter H is abelian exactly when it lies in its own centralizer,
+    the record's entry that the claim witnesses read too.  Any other H
+    compares the H x H block of the parent's table with its transpose; no
+    record is built for this."""
     H = _as_subgroup(x)
+    lat = H.parent._cache.get("normal_lattice")
+    i = None if lat is None else lat.index.get(H.elements)
+    if i is not None:
+        mask, index = lat.masks[i], H.parent.order // H.order
+        if any(index % lat.sizes[j] for j in _bits(mask)):
+            return False
+        return not mask & ~lat.centralizer(i)
     hs = H.as_array()
     block = H.parent.table[hs[:, None], hs]
     return bool(np.array_equal(block, block.T))
@@ -117,8 +132,23 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def is_soluble(G: FiniteGroup) -> bool:
-    """Takes a group or a subgroup."""
-    return derived_length(G) is not None
+    """Takes a group or a subgroup x, read off the lattice record that the
+    commutator series would walk: the parent's when x is normal in it, x's
+    own otherwise.  The walk climbs from the trivial member, each step to
+    the first member inside x that properly contains the last, so each step
+    is a chief factor of the record's group, a power of a simple group.  It
+    is abelian exactly when its order is a prime power, and x is soluble
+    exactly when every step is.  Nothing new is memoized."""
+    lat, top = _record_of(_as_subgroup(G))
+    masks, members = lat.masks, lat.members
+    inside, last = masks[top], 0
+    for j in range(1, top + 1):
+        # a later member containing the last step contains it properly
+        if not masks[j] & ~inside and not masks[last] & ~masks[j]:
+            if len(prime_factors(members[j].order // members[last].order)) > 1:
+                return False
+            last = j
+    return True
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:

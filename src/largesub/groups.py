@@ -636,6 +636,8 @@ def central_product_with_embeddings(
     and the cosets are numbered by least member, as quotient_group numbers
     them.  The least member of (g, h)D is (g*z, h*w) for the (z, w) in D
     with g*z least, and it is (g, h) itself exactly when g is least in gZ.
+    The least members are listed by leader and then by h, so the coset of
+    (g, h) is rank[g*z] * |H| + h*w, with rank the position of each leader.
     """
     pairing = {int(k): int(v) for k, v in pairing.items()}
     pairing.setdefault(0, 0)
@@ -662,10 +664,13 @@ def central_product_with_embeddings(
     best = gz.argmin(axis=1)
     least_g = gz[np.arange(G.order), best].astype(np.int64)
     w = H.inverses[[pairing[z] for z in dom]][best]
-    reps = (np.flatnonzero(least_g == np.arange(G.order))[:, None] * nh + np.arange(nh)).ravel()
+    leaders = np.flatnonzero(least_g == np.arange(G.order))
+    rank = np.zeros(G.order, dtype=np.int64)
+    rank[leaders] = np.arange(leaders.size)
+    reps = (leaders[:, None] * nh + np.arange(nh)).ravel()
 
     def coset(g, h):
-        return np.searchsorted(reps, least_g[g] * nh + H.table[h, w[g]])
+        return rank[least_g[g]] * nh + H.table[h, w[g]]
 
     gs, hs = reps // nh, reps % nh
     table = coset(G.table[gs[:, None], gs], H.table[hs[:, None], hs])

@@ -114,11 +114,14 @@ def fitting_subgroup(x) -> RadicalResult:
 def components(x) -> list[Subgroup]:
     """Subnormal quasi-simple subgroups of a group or a subgroup.
 
-    A quasi-simple subgroup is perfect, so it lies inside the stable term
-    of the derived series; that term is characteristic, hence its subnormal
-    subgroups are exactly the subnormal subgroups of the input inside it.
-    Scanning only there makes soluble groups trivial to dismiss."""
+    A quasi-simple subgroup is perfect and nontrivial, so a soluble input
+    has none: is_soluble decides that on a lattice record, with no series.
+    Otherwise the components lie inside the stable term of the derived
+    series; that term is characteristic, hence its subnormal subgroups are
+    exactly the subnormal subgroups of the input inside it."""
     def compute(H):
+        if is_soluble(H):
+            return []
         return [T for T in subnormal_subgroups(derived_series(H).last) if is_quasisimple(T)]
 
     return _memoized(x, "components", compute)

@@ -32,7 +32,7 @@ The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
 and the class of each element.  A subgroup generated by a union of
 classes is the first member whose mask contains them, since it lies in
-every other.  Three questions are answered on the record without closing
+every other.  These questions are answered on the record without closing
 anything:
 
 * the derived and lower central series of a subgroup normal in its parent
@@ -47,6 +47,14 @@ anything:
   representative commutes with N (it is normal), one k x |N| comparison,
   made once per member; the claim witnesses, all normal in G, read their
   centralizer order and largeness off it;
+* solubility (classes.is_soluble) walks the same record as the series, up
+  a chief series from the trivial member, and fails at the first step
+  whose order is not a prime power, since a chief factor is a power of a
+  simple group and abelian exactly when its order is a prime power;
+* abelian-ness (classes.is_abelian) of a member N of an already memoized
+  record of G: every G-class in an abelian N has a size dividing |G:N|,
+  and past that filter N is abelian exactly when it lies in its
+  centralizer, the entry the witnesses read;
 * the maximal members passing a test (the maximal normal subgroups, and
   the cores, radicals and maximal normal class members in radicals.py)
   come from one walk down the list, which tests a member only when no
@@ -604,19 +612,29 @@ def lower_central_series(x) -> SeriesReport:
     return SeriesReport("lower_central", tuple(chain), orders, tags)
 
 
+def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
+    """A lattice record holding the start, and its position there: the
+    parent G's record when the start is normal in G, the start's own
+    otherwise (the same record for the whole of G).  G's record is not
+    built just to learn that the start is not normal."""
+    if start.is_whole:
+        lat = _lattice(start)
+        return lat, len(lat.masks) - 1
+    lat = start.parent._cache.get("normal_lattice")
+    if lat is None and start.is_normal():
+        lat = _lattice(start.parent)
+    if lat is None or start.elements not in lat.index:
+        lat = _lattice(start)
+    return lat, lat.index[start.elements]
+
+
 def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
     # term i+1 is [term i, term i] (derived) or [start, term i] (lower
     # central) until it repeats.  Every term is characteristic in the
     # start, so normal in the parent G whenever the start is: the walk runs
-    # on G's record for a start normal in G, on the start's own otherwise
-    # (the same record for the whole of G); G's record is not built just
-    # to learn that the start is not normal.
-    lat = start.parent._cache.get("normal_lattice")
-    if lat is None and not start.is_whole and start.is_normal():
-        lat = _lattice(start.parent)
-    if lat is None or start.elements not in lat.index:
-        lat = _lattice(start)
-    chain = [lat.index[start.elements]]
+    # on the record _record_of picks
+    lat, i = _record_of(start)
+    chain = [i]
     while True:
         nxt = lat.commutator(chain[-1] if derived else chain[0], chain[-1])
         if nxt == chain[-1]:

@@ -5,7 +5,7 @@ import collections
 import pytest
 
 import largesub as ls
-from largesub import classes
+from largesub import classes, radicals
 
 
 def test_abelian():
@@ -37,17 +37,21 @@ def _steps_to_trivial(series):
     return len(series.chain) - 1 if series.last.is_trivial else None
 
 
-def _count_series_calls(monkeypatch):
-    """Count the series that nilpotency_class and derived_length compute."""
+def _count_series_calls(monkeypatch, modules=(classes,)):
+    """Count the series that nilpotency_class and derived_length compute,
+    and those that any other of the modules given computes."""
     calls = collections.Counter()
-    for name in ("lower_central_series", "derived_series"):
-        real = getattr(classes, name)
+    for module in modules:
+        for name in ("lower_central_series", "derived_series"):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
 
-        def counting(x, real=real, name=name):
-            calls[name] += 1
-            return real(x)
+            def counting(x, real=real, name=name):
+                calls[name] += 1
+                return real(x)
 
-        monkeypatch.setattr(classes, name, counting)
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -101,6 +105,29 @@ def test_nilpotency_outside_the_fitting_subgroup_needs_no_series(corpus, monkeyp
                 outside += 1
     assert outside > 100
     assert calls["lower_central_series"] == 0
+
+
+def test_scan_computes_no_derived_series(corpus, monkeypatch):
+    # solubility and abelian-ness are read off the lattice records
+    calls = _count_series_calls(monkeypatch, (classes, radicals))
+    records = ls.scan_exceptional(map(_fresh, corpus[::8]))
+    assert len(records) == len(corpus[::8])
+    assert {r.status for r in records} >= {"not_soluble", "residual_minimal"}
+    assert calls["derived_series"] == 0
+
+
+def test_claim_e_on_a_soluble_group_builds_no_sublattice(corpus):
+    # a soluble group has no components, so E reads G's record alone
+    checked = 0
+    for G in map(_fresh, corpus[::8]):
+        if not ls.is_soluble(G):
+            continue
+        assert ls.verify_selector(G, "E").outcome == "pass"
+        proper = [k for k in G._cache if isinstance(k, tuple) and k[0] == "normal_lattice"]
+        assert not proper, G.display_name
+        assert ls.components(G) == []
+        checked += 1
+    assert checked > 20
 
 
 def test_soluble_groups_read_no_chief_series(corpus, monkeypatch):

@@ -25,12 +25,20 @@ them inside it.
 
 A Subgroup holds only its sorted tuple of elements; membership,
 containment, index_set and intersect are checked against frozensets built
-from it."""
+from it.
+
+Solubility is read off a lattice record (a walk up a chief series, each
+step of prime-power order) and abelian-ness of a member of the parent's
+record off its class sizes and centralizer.  Both are checked against the
+paths they replaced, the derived series and the comparison of the H x H
+block of the table with its transpose, on G, every normal subgroup and the
+subgroups generated by two consecutive class representatives."""
 
 import itertools
 import operator
 import random
 
+import numpy as np
 import pytest
 
 import largesub as ls
@@ -349,3 +357,46 @@ def test_subgroup_operations_match_frozenset_oracles(corpus):
             for op in (operator.le, operator.lt, ls.intersect):
                 with pytest.raises(ls.ForeignSubgroup):
                     op(N, M)
+
+
+def _abelian_by_block(H):
+    # the old path: the H x H block of the parent's table equals its transpose
+    hs = H.as_array()
+    block = H.parent.table[hs[:, None], hs]
+    return bool(np.array_equal(block, block.T))
+
+
+@pytest.fixture(scope="module")
+def membership_targets(corpus):
+    """(G, x) for every corpus group and SL(2,5) x Q8: x runs over G, each
+    normal subgroup, and the subgroup generated by each two consecutive
+    class representatives (many of these are not normal)."""
+    targets = []
+    for G in [*corpus, ls.direct_product(_special_linear_2_5(), ls.quaternion_group(8))]:
+        reps = [c[0] for c in ls.conjugacy_classes(G)]
+        starts = [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+        targets += [(G, x) for x in [G.whole(), *ls.normal_subgroups(G), *starts]]
+    return targets
+
+
+def test_soluble_walk_matches_the_derived_series(membership_targets):
+    insoluble = 0
+    for G, x in membership_targets:
+        soluble = ls.derived_series(x).last.is_trivial
+        assert ls.is_soluble(x) == soluble, (G.display_name, x.elements)
+        insoluble += not soluble
+    assert len(membership_targets) > 10_000
+    assert insoluble > 100
+
+
+def test_abelian_on_the_record_matches_the_block_compare(membership_targets):
+    on_record = nonabelian = 0
+    for G, x in membership_targets:
+        abelian = _abelian_by_block(x)
+        assert ls.is_abelian(x) == abelian, (G.display_name, x.elements)
+        on_record += x.elements in G._cache["normal_lattice"].index
+        nonabelian += not abelian
+    # normal_subgroups(G) memoized every group's record, so each normal x
+    # took the record's path
+    assert on_record > 9_000
+    assert nonabelian > 4_000

@@ -48,6 +48,10 @@ families, each hashed over all 243 groups in corpus order:
                        (subgroup and witness string), the minimal and
                        maximal normal subgroups of G, and the
                        maximal_normal_members of each of MEMBER_CLASSES
+    memberships        is_abelian, is_soluble, is_nilpotent and
+                       is_supersoluble of G, of each normal subgroup of G
+                       and of the subgroup generated by each two
+                       consecutive conjugacy class representatives of G
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -96,6 +100,7 @@ FAMILIES = (
     "lattice_answers",
     "subgroup_series",
     "radicals",
+    "memberships",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -206,9 +211,14 @@ def _lattice_answers(G, normals) -> list:
     ]
 
 
-def _subgroup_series(G) -> list:
+def _consecutive_starts(G) -> list:
+    # the subgroup generated by each two consecutive class representatives
     reps = [c[0] for c in ls.conjugacy_classes(G)]
-    starts = [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+    return [ls.closure(G, pair) for pair in zip(reps, reps[1:])]
+
+
+def _subgroup_series(G) -> list:
+    starts = _consecutive_starts(G)
     return [
         [[_chain(ls.derived_series(S)), _chain(ls.lower_central_series(S))] for S in starts],
         [T.elements for T in ls.components(G)],
@@ -238,6 +248,11 @@ def _radicals(G) -> list:
     ]
 
 
+def _memberships(G, normals) -> list:
+    tests = (ls.is_abelian, ls.is_soluble, ls.is_nilpotent, ls.is_supersoluble)
+    return [[test(x) for test in tests] for x in [G, *normals, *_consecutive_starts(G)]]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -263,6 +278,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         put("lattice_answers", _lattice_answers(G, normals))
         put("subgroup_series", _subgroup_series(G))
         put("radicals", _radicals(G))
+        put("memberships", _memberships(G, normals))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
