@@ -29,8 +29,7 @@ def trivial_group(*, cap=None) -> FiniteGroup:
 
 def klein_four_group(*, cap=None) -> FiniteGroup:
     C2 = cyclic_group(2, cap=cap)
-    G = direct_product(C2, C2, cap=cap)
-    return FiniteGroup(G.table, name="klein_four", trusted=True)
+    return direct_product(C2, C2, name="klein_four", cap=cap)
 
 
 def dihedral_group(order: int, *, cap=None) -> FiniteGroup:
@@ -40,15 +39,11 @@ def dihedral_group(order: int, *, cap=None) -> FiniteGroup:
         raise UnknownName(f"dihedral order must be even and >= 2, got {order}")
     _check_cap(order, cap)
     k = order // 2
-    table = np.empty((order, order), dtype=np.int32)
-    for a1 in range(k):
-        for b1 in range(2):
-            i = a1 * 2 + b1
-            for a2 in range(k):
-                for b2 in range(2):
-                    j = a2 * 2 + b2
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % k
-                    table[i, j] = a * 2 + ((b1 + b2) % 2)
+    # index 2a + b; r^a1 s^b1 * r^a2 s^b2 = r^(a1 ± a2) s^(b1 + b2), minus
+    # when b1 = 1
+    a, b = np.divmod(np.arange(order, dtype=np.int32), 2)
+    rot = (a[:, None] + (1 - 2 * b)[:, None] * a[None, :]) % k
+    table = rot * 2 + (b[:, None] + b[None, :]) % 2
     labels = tuple(f"r{i // 2}" + ("s" if i % 2 else "") for i in range(order))
     return FiniteGroup(table, name=f"dihedral({order})", labels=labels, trusted=True)
 

@@ -18,6 +18,7 @@ import itertools
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -551,6 +552,9 @@ def from_permutation_generators(gens, *, name=None, cap=None) -> FiniteGroup:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise NotAGroup(f"not a permutation of 0..{degree - 1}: {g}")
     limit = order_cap(cap)
+    # p * s as one C-level gather.  Below degree 2 the only permutation is
+    # the identity, so p * s = p; itemgetter would return a bare int there
+    composers = [itemgetter(*s) if degree > 1 else tuple for s in gens]
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
@@ -561,8 +565,8 @@ def from_permutation_generators(gens, *, name=None, cap=None) -> FiniteGroup:
         i = queue.pop()
         p = elems[i]
         popped.append(i)
-        for g, s in enumerate(gens):
-            q = tuple(p[k] for k in s)
+        for g, compose in enumerate(composers):
+            q = compose(p)
             j = index.get(q)
             if j is None:
                 if len(elems) >= limit:
@@ -593,19 +597,28 @@ def cyclic_group(n: int, *, cap=None) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, *, name=None, cap=None) -> FiniteGroup:
-    """G x H on pair indices (g, h) -> g*|H| + h."""
+    """G x H on pair indices (g, h) -> g*|H| + h.
+
+    The table is one broadcast sum, (g, h) * (g', h') = gg'*|H| + hh',
+    computed in int64 and written straight into an int32 array of shape
+    (|G|, |H|, |G|, |H|), which reshapes to the n x n table without a copy.
+    """
     n = G.order * H.order
     _check_cap(n, cap)
     nh = H.order
-    tg = np.repeat(np.repeat(G.table.astype(np.int64), nh, axis=0), nh, axis=1)
-    th = np.tile(H.table.astype(np.int64), (G.order, G.order))
-    table = tg * nh + th
+    table = np.empty((G.order, nh, G.order, nh), dtype=np.int32)
+    np.add(
+        (G.table.astype(np.int64) * nh)[:, None, :, None],
+        H.table[None, :, None, :],
+        out=table,
+        casting="unsafe",
+    )
     if name is None and G.name and H.name:
         name = f"direct({G.name},{H.name})"
     labels = None
     if G.labels is not None and H.labels is not None:
         labels = tuple(f"({a},{b})" for a in G.labels for b in H.labels)
-    return FiniteGroup(table.astype(np.int32), name=name, labels=labels, trusted=True)
+    return FiniteGroup(table.reshape(n, n), name=name, labels=labels, trusted=True)
 
 
 def _central_subgroup_check(G: FiniteGroup, elems: tuple[int, ...]) -> None:

@@ -51,6 +51,7 @@ def reference_corpus() -> list[FiniteGroup]:
         for H in nontrivial[i:]:
             if G.order * H.order <= PRODUCT_ORDER_LIMIT:
                 out.append(direct_product(G, H))
-    out.append(direct_product(alternating_group(5), symmetric_group(4)))
+    by_name = {G.name: G for G in singles}
+    out.append(direct_product(by_name["alternating(5)"], by_name["symmetric(4)"]))
     out.sort(key=lambda G: (G.order, G.display_name))
     return out

@@ -4,14 +4,16 @@ Everything here works on a plain list-of-lists multiplication table and
 favors the most obvious loops over any cleverness; the point is to be
 unarguably correct, not fast.  Keep the inputs tiny.  The exception is
 light_generators_by_closure, a numpy routine built on the library's
-closure, which is fast enough to check every corpus group.
+closure, which is fast enough to check every corpus group, and
+direct_product_by_tiling, which builds product tables with whole-array
+repeats and tiles.
 """
 
 import itertools
 
 import numpy as np
 
-from largesub.groups import _close
+from largesub.groups import FiniteGroup, _close
 
 
 def as_rows(table):
@@ -309,6 +311,21 @@ def permutation_group(gens, cap):
     ]
     labels = tuple("(" + " ".join(map(str, p)) + ")" for p in elems)
     return table, labels
+
+
+def direct_product_by_tiling(G, H):
+    """G x H built by repeating and tiling the factor tables: G's entries
+    repeated |H| times along both axes, H's table tiled |G| times, both in
+    int64, combined as g*|H| + h and cast to int32.  Name and labels as
+    the library gives them."""
+    nh = H.order
+    tg = np.repeat(np.repeat(G.table.astype(np.int64), nh, axis=0), nh, axis=1)
+    th = np.tile(H.table.astype(np.int64), (G.order, G.order))
+    table = (tg * nh + th).astype(np.int32)
+    labels = None
+    if G.labels is not None and H.labels is not None:
+        labels = tuple(f"({a},{b})" for a in G.labels for b in H.labels)
+    return FiniteGroup(table, name=f"direct({G.name},{H.name})", labels=labels, trusted=True)
 
 
 def integer_entries(values):

@@ -417,6 +417,42 @@ def test_direct_product_structure():
     assert G.display_name == "direct(cyclic(2),cyclic(3))"
 
 
+def test_direct_product_matches_the_tiling_oracle():
+    factors = [G for G in ls.named_reference_groups() if G.order > 1]
+    by_name = {G.name: G for G in factors}
+    pairs = [(G, H) for G in factors for H in factors if G.order * H.order <= 400]
+    pairs.append((by_name["alternating(5)"], by_name["symmetric(4)"]))
+    for G, H in pairs:
+        got, want = ls.direct_product(G, H), oracles.direct_product_by_tiling(G, H)
+        assert got.table.dtype == want.table.dtype == np.int32
+        assert got.table.flags.c_contiguous and not got.table.flags.writeable
+        assert np.array_equal(got.table, want.table), (G.name, H.name)
+        assert got.labels == want.labels
+        assert got.display_name == want.display_name
+        pair_inverses = G.inverses[:, None].astype(np.int64) * H.order + H.inverses[None, :]
+        assert np.array_equal(got.inverses, pair_inverses.ravel())
+        assert np.array_equal(got.inverses, want.inverses)
+    with pytest.raises(ls.OrderCapExceeded) as info:
+        ls.direct_product(by_name["alternating(5)"], by_name["symmetric(4)"], cap=1439)
+    assert (info.value.order, info.value.cap) == (1440, 1439)
+
+
+def test_reference_corpus_builds_each_group_once(monkeypatch):
+    # 243 groups, plus the one C2 that klein_four is built from: the
+    # alternating(5) x symmetric(4) factors are the named groups themselves
+    calls = []
+    setup = groups.FiniteGroup._setup
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return setup(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.FiniteGroup, "_setup", counting)
+    corpus = ls.reference_corpus()
+    assert len(corpus) == 243
+    assert len(calls) == 244
+
+
 def test_subgroup_wrapping(s4):
     V4 = min(
         (N for N in ls.normal_subgroups(s4) if N.order == 4),
