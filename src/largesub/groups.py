@@ -599,20 +599,21 @@ def cyclic_group(n: int, *, cap=None) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup, *, name=None, cap=None) -> FiniteGroup:
     """G x H on pair indices (g, h) -> g*|H| + h.
 
-    The table is one broadcast sum, (g, h) * (g', h') = gg'*|H| + hh',
-    computed in int64 and written straight into an int32 array of shape
-    (|G|, |H|, |G|, |H|), which reshapes to the n x n table without a copy.
+    The table is one broadcast sum, (g, h) * (g', h') = gg'*|H| + hh', of
+    shape (|G|, |H|, |G|, |H|) in int64, cast to int32 and reshaped to
+    n x n without a copy.  The int64 sum is materialised, not written
+    straight into int32: the n^2 int64 block it frees leaves a heap in
+    which later arrays of that size (the table read back from JSONL) get
+    transparent huge pages; without it, an ingest of the corpus took more
+    4 KiB page faults and its time varied more from run to run.
     """
     n = G.order * H.order
     _check_cap(n, cap)
     nh = H.order
-    table = np.empty((G.order, nh, G.order, nh), dtype=np.int32)
-    np.add(
+    table = np.add(
         (G.table.astype(np.int64) * nh)[:, None, :, None],
         H.table[None, :, None, :],
-        out=table,
-        casting="unsafe",
-    )
+    ).astype(np.int32)
     if name is None and G.name and H.name:
         name = f"direct({G.name},{H.name})"
     labels = None
