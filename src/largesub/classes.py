@@ -27,7 +27,6 @@ from .structure import (
     composition_factors,
     derived_series,
     lower_central_series,
-    minimal_normal_subgroups,
 )
 
 
@@ -132,23 +131,11 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def is_soluble(G: FiniteGroup) -> bool:
-    """Takes a group or a subgroup x, read off the lattice record that the
-    commutator series would walk: the parent's when x is normal in it, x's
-    own otherwise.  The walk climbs from the trivial member, each step to
-    the first member inside x that properly contains the last, so each step
-    is a chief factor of the record's group, a power of a simple group.  It
-    is abelian exactly when its order is a prime power, and x is soluble
-    exactly when every step is.  Nothing new is memoized."""
-    lat, top = _record_of(_as_subgroup(G))
-    masks, members = lat.masks, lat.members
-    inside, last = masks[top], 0
-    for j in range(1, top + 1):
-        # a later member containing the last step contains it properly
-        if not masks[j] & ~inside and not masks[last] & ~masks[j]:
-            if len(prime_factors(members[j].order // members[last].order)) > 1:
-                return False
-            last = j
-    return True
+    """Takes a group or a subgroup x.  Every chief factor is a power of a
+    simple group, abelian exactly when it has a single prime, and x is
+    soluble exactly when every one of its chief factors is: the climb of
+    _chief_factor_primes decides it.  Nothing new is memoized."""
+    return all(map(_abelian_simple, _chief_factor_primes(G)))
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:
@@ -183,15 +170,14 @@ def is_pi_separable(G: FiniteGroup, pi) -> bool:
 
 
 def _chief_factor_primes(G):
-    """The prime sets of the chief factors of a group or subgroup, each the
-    prime set of the simple T of a chief factor T^k.  Every chief factor of
-    a soluble group is elementary abelian and every prime of the order
-    occurs in one, so a soluble G yields {p} for each prime p of |G| and
-    only an insoluble G reads its chief series.  Repeats are not kept: the
-    callers ask whether all the sets pass a rule."""
-    if is_soluble(G):
-        return (frozenset((p,)) for p in prime_factors(G.order))
-    return (frozenset(prime_factors(o)) for o in chief_series(G).factor_orders)
+    """The prime sets of the chief factors of a group or subgroup x, each
+    the primes of the simple T of a chief factor T^k, from the chief climb
+    up to x on the record _record_of picks.  A chief factor of the record's
+    group inside x splits into chief factors of x that are powers of the
+    same T, so the sets are x's own.  The climb is lazy and keeps repeats:
+    the callers ask whether all the sets pass a rule."""
+    lat, top = _record_of(_as_subgroup(G))
+    return (frozenset(prime_factors(o)) for _, o in lat.chief_steps(top))
 
 
 def _pi_or_pi_prime(primes):
@@ -220,7 +206,7 @@ def has_normal_hall_pi_prime(G: FiniteGroup, pi) -> bool:
     complement = tuple(p for p in prime_factors(G.order) if p not in primes)
     if not complement:
         return True
-    core = pi_core(G, complement, _validated=True)
+    core = pi_core(G, complement)
     target = pi_part(G.order, complement)
     return core.subgroup.order == target
 
@@ -272,15 +258,15 @@ def in_extension_closure(X: ClassPredicate, G: FiniteGroup) -> bool:
 
 def has_minimal_supersoluble_residual(G: FiniteGroup) -> bool:
     """Soluble groups whose supersoluble residual is trivial or a minimal
-    normal subgroup.  Raises NotSoluble otherwise."""
+    normal subgroup: the first chief step up to it on G's record is itself.
+    Raises NotSoluble otherwise."""
     if not is_soluble(G):
         raise NotSoluble(f"{G.display_name} is not soluble")
     from .radicals import supersoluble_residual
 
-    residual = supersoluble_residual(G)
-    if residual.is_trivial:
-        return True
-    return any(residual == M for M in minimal_normal_subgroups(G))
+    lat = _lattice(G)
+    r = lat.index[supersoluble_residual(G).elements]
+    return r == 0 or next(lat.chief_steps(r))[0] == r
 
 
 # -- the built-in catalog ----------------------------------------------------

@@ -41,11 +41,17 @@ ORDER_CAP_ENV = "LARGESUB_ORDER_CAP"
 
 def order_cap(override: int | None = None) -> int:
     """The active order cap: explicit override, else the environment
-    variable LARGESUB_ORDER_CAP, else 2000."""
+    variable LARGESUB_ORDER_CAP, else 2000.  A variable that is set but
+    not an integer raises BadArgument."""
     if override is not None:
         return int(override)
     env = os.environ.get(ORDER_CAP_ENV)
-    return int(env) if env else DEFAULT_ORDER_CAP
+    if not env:
+        return DEFAULT_ORDER_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise BadArgument(f"{ORDER_CAP_ENV}={env!r} is not an integer") from None
 
 
 def _check_cap(order: int, cap: int | None) -> None:

@@ -44,6 +44,7 @@ from functools import cache
 
 from .classes import (
     ClassPredicate,
+    _validate_pi,
     builtin_class,
     has_minimal_supersoluble_residual,
     in_extension_closure,
@@ -289,10 +290,10 @@ def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
     The hypothesis is named separable_for_<primes> when it holds and
     pi_separable when it fails."""
     report = VerificationReport("F", G.display_name, G.order)
-    if not is_pi_separable(G, pi):
+    primes = _validate_pi(pi)
+    if not is_pi_separable(G, primes):
         report.hypotheses.append(("pi_separable", False))
         return _finish(report)
-    primes = tuple(sorted(set(int(p) for p in pi)))
     report.hypotheses.append((f"separable_for_{','.join(map(str, primes))}", True))
     core = pi_prime_pi_core(G, primes)
     report.witnesses.append(_witness(G, core.subgroup, f"two-step core ({core.witness})"))
@@ -519,8 +520,6 @@ def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
     if head == "F":
         pi = tuple(_int_param(p, selector) for p in _need(param, selector).split(","))
         try:
-            from .classes import _validate_pi
-
             _validate_pi(pi)
         except ValueError as exc:
             raise UnknownClass(f"selector {selector!r}: {exc}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import ClassPredicate, is_quasisimple, is_soluble
+from .classes import ClassPredicate, _validate_pi, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group
 from .structure import (
@@ -60,19 +60,15 @@ def _largest(lat, test, what: str) -> tuple[Subgroup, int]:
     return first, sum(not m & ~mask for m in lat.masks)
 
 
-def pi_core(x, pi, *, _validated: bool = False) -> RadicalResult:
+def pi_core(x, pi) -> RadicalResult:
     """Largest normal pi-subgroup of a group or a subgroup."""
-    if not _validated:
-        from .classes import _validate_pi
-
-        pi = _validate_pi(pi)
-    pi, lat = tuple(pi), _lattice(x)
+    pi, lat = _validate_pi(pi), _lattice(x)
     orders = [N.order for N in lat.members]
     core, inside = _largest(
         lat, lambda i: pi_part(orders[i], pi) == orders[i], f"{{{','.join(map(str, pi))}}}-subgroups"
     )
     return RadicalResult(
-        core, f"largest of {inside} normal subgroups with order supported on {set(pi) or '{}'}"
+        core, f"largest of {inside} normal subgroups with order supported on {set(pi)}"
     )
 
 
@@ -80,11 +76,10 @@ def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
     """Preimage in G of the pi-core of G modulo the pi'-core K (the two-step
     core used for separable groups), read off G: the largest normal M above
     K whose index |M:K| is a pi-number."""
-    from .classes import _validate_pi
-
     pi = _validate_pi(pi)
     complement = tuple(p for p in prime_factors(G.order) if p not in pi)
-    below, lat = pi_core(G, complement, _validated=True).subgroup, _lattice(G)
+    below = pi_core(G, complement).subgroup if complement else G.trivial()
+    lat = _lattice(G)
     low = lat.masks[lat.index[below.elements]]
 
     def above_with_pi_index(i):
@@ -103,7 +98,7 @@ def fitting_subgroup(x) -> RadicalResult:
     product of the p-cores."""
     def compute(H):
         primes = prime_factors(H.order)
-        cores = [pi_core(H, (p,), _validated=True).subgroup for p in primes]
+        cores = [pi_core(H, (p,)).subgroup for p in primes]
         return RadicalResult(
             _normal_join(H, cores), f"product of the p-cores for p in {set(primes) or '{}'}"
         )

@@ -47,10 +47,9 @@ anything:
   representative commutes with N (it is normal), one k x |N| comparison,
   made once per member; the claim witnesses, all normal in G, read their
   centralizer order and largeness off it;
-* solubility (classes.is_soluble) walks the same record as the series, up
-  a chief series from the trivial member, and fails at the first step
-  whose order is not a prime power, since a chief factor is a power of a
-  simple group and abelian exactly when its order is a prime power;
+* every chief-factor question reads one climb up the same record as the
+  series, chief_steps: each step is the first member inside the top that
+  properly contains the last, a chief factor of the record's group;
 * abelian-ness (classes.is_abelian) of a member N of an already memoized
   record of G: every G-class in an abelian N has a size dividing |G:N|,
   and past that filter N is abelian exactly when it lies in its
@@ -64,10 +63,10 @@ The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  A join of normal
 subgroups (the socle, and the Fitting subgroups in radicals.py) is the
-first member over the OR of their masks, and a chief series steps to the
-next member whose mask contains the last.  Minimal normal subgroups
-compare masks with the earlier members only, since a proper subgroup
-comes earlier in the canonical order.  The normal structure functions and
+first member over the OR of their masks, and a chief series is the climb
+of chief_steps.  Minimal normal subgroups compare masks with the earlier
+members only, since a proper subgroup comes earlier in the canonical
+order.  The normal structure functions and
 the series take a group or a Subgroup H of it and work on the parent's
 table, memoizing H's results on the parent.
 Only the composition factors build groups, induced groups and their
@@ -292,6 +291,19 @@ class _Lattice:
             if all(self.masks[i] & ~self.masks[j] for j in found) and test(i):
                 found.append(i)
         return found[::-1]
+
+    def chief_steps(self, top: int):
+        """(position, factor order) for each step of a chief series from the
+        trivial member up to member top.  Each step is the first member
+        inside top that properly contains the last, so its factor is
+        minimal normal in the quotient by the last: a chief factor of the
+        record's group, a power of a simple group."""
+        masks, inside, last = self.masks, self.masks[top], 0
+        for j in range(1, top + 1):
+            # a later member containing the last step contains it properly
+            if not masks[j] & ~inside and not masks[last] & ~masks[j]:
+                yield j, self.members[j].order // self.members[last].order
+                last = j
 
     def commutator(self, i: int, j: int) -> int:
         """Position of [N_i, N_j] for members i and j, gathered once per
@@ -687,13 +699,9 @@ def chief_series(x) -> SeriesReport:
     term is the first normal subgroup in canonical order strictly above the
     last: a cover of least order, ties to the least element tuple."""
     lat = _lattice(x)
-    masks, steps = lat.masks, [0]
-    for i in range(1, len(masks)):
-        # a later member containing the last term contains it properly
-        if not masks[steps[-1]] & ~masks[i]:
-            steps.append(i)
-    chain = [lat.members[i] for i in steps]
-    orders = tuple(chain[i + 1].order // chain[i].order for i in range(len(chain) - 1))
+    steps = list(lat.chief_steps(len(lat.masks) - 1))
+    chain = [lat.members[0], *(lat.members[i] for i, _ in steps)]
+    orders = tuple(o for _, o in steps)
     tags = tuple(
         FactorTag(o, _is_prime(o), abelian=len(prime_factors(o)) <= 1) for o in orders
     )

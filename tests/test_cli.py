@@ -356,6 +356,15 @@ def test_corpus_check_cap_exceeded(capsys, tmp_path, monkeypatch):
     assert "exceeds the cap 100" in out
 
 
+@pytest.mark.parametrize("value", ["abc", " ", "1e3"])
+def test_order_cap_not_an_integer_is_one_error_line(capsys, monkeypatch, value):
+    monkeypatch.setenv("LARGESUB_ORDER_CAP", value)
+    code, out, err = run(capsys, "info", "cyclic(3)")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: LARGESUB_ORDER_CAP={value!r} is not an integer\n"
+
+
 def test_malformed_corpus_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"kind":"magma"}\n')

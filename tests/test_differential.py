@@ -32,7 +32,13 @@ step of prime-power order) and abelian-ness of a member of the parent's
 record off its class sizes and centralizer.  Both are checked against the
 paths they replaced, the derived series and the comparison of the H x H
 block of the table with its transpose, on G, every normal subgroup and the
-subgroups generated by two consecutive class representatives."""
+subgroups generated by two consecutive class representatives.
+
+Solubility, pi-separability and the minimal-or-trivial supersoluble
+residual all read one chief climb of a lattice record.  On the same
+subgroups they are checked against oracles that take no climb: the
+derived length, the composition factor orders, and the residual's place
+among the minimal normal subgroups."""
 
 import itertools
 import operator
@@ -63,8 +69,8 @@ def test_two_step_core_matches_quotient_preimage(groups):
     for G in groups:
         for pi in PRIME_SETS:
             complement = tuple(p for p in ls.prime_factors(G.order) if p not in pi)
-            # complement is empty for pi-groups, which _validate_pi would reject
-            below = ls.pi_core(G, complement, _validated=True).subgroup
+            # complement is empty for pi-groups, whose pi'-core is trivial
+            below = ls.pi_core(G, complement).subgroup if complement else G.trivial()
             Q, proj = ls.quotient_group(G, below)
             upper = ls.pi_core(Q, pi).subgroup
             expected = ls.Subgroup(G, [g for g in range(G.order) if proj[g] in upper])
@@ -400,3 +406,50 @@ def test_abelian_on_the_record_matches_the_block_compare(membership_targets):
     # took the record's path
     assert on_record > 9_000
     assert nonabelian > 4_000
+
+
+def _separable_by_composition(x, pi):
+    # the rule on the composition factor orders: every prime of a simple
+    # factor lies in pi, or none does
+    return all(
+        set(ls.prime_factors(o)) <= set(pi) or not set(ls.prime_factors(o)) & set(pi)
+        for o in ls.composition_series(x).factor_orders
+    )
+
+
+def _residual_minimal_by_scan(G):
+    # the old reading: the residual is trivial or one of the minimal normals
+    residual = ls.supersoluble_residual(G)
+    return residual.is_trivial or residual in ls.minimal_normal_subgroups(G)
+
+
+def test_chief_climb_matches_independent_oracles(membership_targets):
+    # the targets of every 3rd group and of every insoluble one: a soluble
+    # normal subgroup of an insoluble G is where a climb that left the
+    # subgroup would read a nonabelian chief factor of G
+    groups = {}
+    for G, x in membership_targets:
+        groups.setdefault(id(G), (G, []))[1].append(x)
+    checked = insoluble = minimal = 0
+    for n, (G, targets) in enumerate(groups.values()):
+        soluble_G = ls.derived_length(G) is not None
+        if soluble_G:
+            want = _residual_minimal_by_scan(G)
+            assert ls.has_minimal_supersoluble_residual(G) == want, G.display_name
+            minimal += want
+        else:
+            with pytest.raises(ls.NotSoluble):
+                ls.has_minimal_supersoluble_residual(G)
+        if n % 3 and soluble_G:
+            continue
+        for x in targets:
+            soluble = ls.derived_length(x) is not None
+            assert ls.is_soluble(x) == soluble, (G.display_name, x.elements)
+            for pi in PRIME_SETS:
+                want = _separable_by_composition(x, pi)
+                assert ls.is_pi_separable(x, pi) == want, (G.display_name, x.elements, pi)
+            checked += 1
+            insoluble += not soluble
+    assert checked > 3_000
+    assert insoluble > 100
+    assert 0 < minimal < len(groups)

@@ -32,14 +32,15 @@ def test_dump_families_and_counts():
         "subgroup_series",
         "radicals",
         "memberships",
+        "chief_questions",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
     # chain member (2 + 3 + 5); centralizers and normal_series: one per
     # normal subgroup of G (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
     # one CLI run per selector; ingest: one record per group plus the
-    # malformed ones; lattice_answers, subgroup_series, radicals and
-    # memberships: one per group
+    # malformed ones; lattice_answers, subgroup_series, radicals,
+    # memberships and chief_questions: one per group
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -53,6 +54,7 @@ def test_dump_families_and_counts():
         "subgroup_series": 3,
         "radicals": 3,
         "memberships": 3,
+        "chief_questions": 3,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.MALFORMED_RECORDS) == 25

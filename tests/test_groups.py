@@ -410,6 +410,16 @@ def test_order_cap_env_override(monkeypatch):
     assert ls.order_cap(25) == 25
 
 
+@pytest.mark.parametrize("value", ["abc", " ", "1e3"])
+def test_order_cap_env_not_an_integer(monkeypatch, value):
+    monkeypatch.setenv(ls.ORDER_CAP_ENV, value)
+    with pytest.raises(ls.BadArgument, match=f"LARGESUB_ORDER_CAP={value!r}"):
+        ls.order_cap()
+    with pytest.raises(ls.BadArgument):
+        ls.cyclic_group(3)
+    assert ls.order_cap(25) == 25
+
+
 def test_direct_product_structure():
     G = ls.direct_product(ls.cyclic_group(2), ls.cyclic_group(3))
     assert G.order == 6

@@ -52,6 +52,12 @@ families, each hashed over all 243 groups in corpus order:
                        is_supersoluble of G, of each normal subgroup of G
                        and of the subgroup generated by each two
                        consecutive conjugacy class representatives of G
+    chief_questions    is_pi_separable for each of PI_SETS, of G and of
+                       each normal subgroup of G; in_extension_closure of G
+                       for each of CLOSURE_CLASSES (every built-in class,
+                       each with a simple_rule); and
+                       has_minimal_supersoluble_residual of G when G is
+                       soluble (null otherwise)
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -101,6 +107,7 @@ FAMILIES = (
     "subgroup_series",
     "radicals",
     "memberships",
+    "chief_questions",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -118,6 +125,20 @@ MEMBER_CLASSES = (
     "soluble_derived:2",
     "supersoluble",
     "quasinilpotent",
+)
+PI_SETS = ((2,), (3,), (5,), (2, 3))
+CLOSURE_CLASSES = (
+    "abelian",
+    "nilpotent",
+    "nilpotent_class:2",
+    "soluble",
+    "soluble_derived:2",
+    "supersoluble",
+    "quasinilpotent",
+    "pi_separable:2",
+    "pi_separable:2,3",
+    "normal_hall_pi_prime:2",
+    "normal_hall_pi_prime:3",
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 
@@ -253,6 +274,14 @@ def _memberships(G, normals) -> list:
     return [[test(x) for test in tests] for x in [G, *normals, *_consecutive_starts(G)]]
 
 
+def _chief_questions(G, normals) -> list:
+    return [
+        [[ls.is_pi_separable(x, pi) for pi in PI_SETS] for x in [G, *normals]],
+        [ls.in_extension_closure(ls.builtin_class(key), G) for key in CLOSURE_CLASSES],
+        ls.has_minimal_supersoluble_residual(G) if ls.is_soluble(G) else None,
+    ]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -279,6 +308,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         put("subgroup_series", _subgroup_series(G))
         put("radicals", _radicals(G))
         put("memberships", _memberships(G, normals))
+        put("chief_questions", _chief_questions(G, normals))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
