@@ -19,7 +19,6 @@ from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
-    _bits,
     _lattice,
     _memoized,
     _record_of,
@@ -63,21 +62,16 @@ class ClassPredicate:
 
 def is_abelian(x) -> bool:
     """Takes a group or a subgroup H.  When H is a member of its parent G's
-    lattice record and that record is already memoized, the record decides:
-    an abelian H lies in C_G(z) for each z in H, so every G-class inside H
-    has a size dividing |G:H|, and a class that does not rules H out; past
-    that filter H is abelian exactly when it lies in its own centralizer,
-    the record's entry that the claim witnesses read too.  Any other H
-    compares the H x H block of the parent's table with its transpose; no
-    record is built for this."""
+    lattice record and that record is already memoized, the record decides
+    (a class-size filter, then whether H lies in its own centralizer, the
+    entry that the claim witnesses read too).  Any other H compares the
+    H x H block of the parent's table with its transpose; no record is
+    built for this."""
     H = _as_subgroup(x)
     lat = H.parent._cache.get("normal_lattice")
     i = None if lat is None else lat.index.get(H.elements)
     if i is not None:
-        mask, index = lat.masks[i], H.parent.order // H.order
-        if any(index % lat.sizes[j] for j in _bits(mask)):
-            return False
-        return not mask & ~lat.centralizer(i)
+        return lat.abelian(i)
     hs = H.as_array()
     block = H.parent.table[hs[:, None], hs]
     return bool(np.array_equal(block, block.T))
@@ -105,7 +99,7 @@ def _nilpotency_class(H: Subgroup) -> int | None:
             from .radicals import fitting_subgroup
 
             F = fitting_subgroup(H.parent).subgroup
-            if lat.masks[i] & ~lat.masks[lat.index[F.elements]]:
+            if not lat.le(i, lat.index[F.elements]):
                 return None
     return _length(lower_central_series(H))
 
@@ -218,11 +212,11 @@ def is_quasisimple(x) -> bool:
     member's centralizer, and H/Z(H) is simple when exactly two members
     (Z(H) and H) contain Z(H)."""
     lat = _lattice(x)
-    top = len(lat.masks) - 1
+    top = lat.top
     if lat.commutator(top, top) != top:
         return False
     Z = lat.centralizer(top)
-    return sum(1 for m in lat.masks if not Z & ~m) == 2
+    return sum(lat.le(Z, j) for j in range(top + 1)) == 2
 
 
 def is_quasinilpotent(x) -> bool:

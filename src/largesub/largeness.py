@@ -39,9 +39,11 @@ prime set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache
 
+from .catalog import klein_four_group
 from .classes import (
     ClassPredicate,
     _validate_pi,
@@ -67,7 +69,9 @@ from .groups import (
     abelian_basis,
     abelian_invariants,
     central_product_with_embeddings,
+    cyclic_group,
     frattini_cover_abelian,
+    prime_factors,
     subgroup_as_group,
 )
 from .radicals import (
@@ -162,13 +166,13 @@ def _witness(G: FiniteGroup, S: Subgroup, descriptor: str) -> WitnessRecord:
     i = lat.index.get(S.elements)
     if i is None:
         raise NotNormal(f"subgroup of order {S.order} is not normal in {G.display_name}")
-    cent = lat.centralizer(i)
+    c = lat.centralizer(i)
     return WitnessRecord(
         descriptor=descriptor,
         order=S.order,
         elements=S.elements,
-        is_large=not cent & ~lat.masks[i],
-        centralizer_order=lat.order(cent),
+        is_large=lat.le(c, i),
+        centralizer_order=lat.members[c].order,
     )
 
 
@@ -229,9 +233,6 @@ def verify_maximal_member_large(G: FiniteGroup, X: ClassPredicate) -> Verificati
 @cache
 def _abelian_samples() -> tuple[FiniteGroup, ...]:
     # the abelian groups claim C tests X on, built once per process
-    from .catalog import klein_four_group
-    from .groups import cyclic_group
-
     return (cyclic_group(2), cyclic_group(6), klein_four_group())
 
 
@@ -431,10 +432,6 @@ def _frattini_pairing(Zg, back, basis) -> dict:
     matching element of the frattini subgroup of the cover, coordinatewise
     over the sorted basis: exponent e in the factor of order q goes to e*p
     in the stretched factor of order q*p."""
-    import itertools
-
-    from .groups import prime_factors
-
     primes = [prime_factors(q)[0] for _, q in basis]
     radix = [q * p for (_, q), p in zip(basis, primes)]
     pairing: dict[int, int] = {}

@@ -12,7 +12,7 @@ lattice record in structure.py: down the canonical list, testing a member
 where it lies only when no member found so far contains it.  A radical is
 the walk's only member.  The joins (the Fitting and generalized Fitting
 subgroups, and the layer of the components) and the supersoluble residual
-read the record's class masks too.
+ask the same record for joins and containment between its members.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def _largest(lat, test, what: str) -> tuple[Subgroup, int]:
             f"two maximal normal {what} (orders {first.order}, {rest[0].order}) "
             "whose join leaves the class",
         )
-    mask = lat.masks[found[0]]
-    return first, sum(not m & ~mask for m in lat.masks)
+    return first, sum(lat.le(i, found[0]) for i in range(lat.top + 1))
 
 
 def pi_core(x, pi) -> RadicalResult:
@@ -80,11 +79,11 @@ def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
     complement = tuple(p for p in prime_factors(G.order) if p not in pi)
     below = pi_core(G, complement).subgroup if complement else G.trivial()
     lat = _lattice(G)
-    low = lat.masks[lat.index[below.elements]]
+    low = lat.index[below.elements]
 
     def above_with_pi_index(i):
         index = lat.members[i].order // below.order
-        return not low & ~lat.masks[i] and pi_part(index, pi) == index
+        return lat.le(low, i) and pi_part(index, pi) == index
 
     sub, _ = _largest(lat, above_with_pi_index, "subgroups with pi-index over the pi'-core")
     return RadicalResult(
@@ -128,9 +127,7 @@ def layer(x) -> RadicalResult:
     member of H's lattice record over the classes that meet them."""
     comps = components(x)
     lat = _lattice(x)
-    classes = {c for T in comps for c in lat.class_of[T.as_array()].tolist()}
-    result = lat.members[lat.least_over(sum(1 << c for c in classes))]
-    return RadicalResult(result, f"join of {len(comps)} components")
+    return RadicalResult(lat.members[lat.closure_of(comps)], f"join of {len(comps)} components")
 
 
 def generalized_fitting_subgroup(x) -> RadicalResult:
@@ -214,27 +211,26 @@ def supersoluble_residual(G: FiniteGroup) -> Subgroup:
     proper normal N is a kernel exactly when it has prime index in some
     kernel, so walking G's lattice record down from G finds every kernel;
     the index is looked up among the prime divisors of |G| before
-    containment is tested on class masks.  That the smallest lies in all
+    containment is asked of the record.  That the smallest lies in all
     the others is asserted, not trusted.  Memoized on G."""
     return _memoized(G, "supersoluble_residual", _supersoluble_residual)
 
 
 def _supersoluble_residual(H: Subgroup) -> Subgroup:
     lat = _lattice(H)
-    masks, members = lat.masks, lat.members
+    members, le = lat.members, lat.le
     orders = [N.order for N in members]
     # every index divides |H|: test each divisor of |H| for primality once
     n = orders[-1]
     primes = frozenset(q for q in range(2, n + 1) if n % q == 0 and _is_prime(q))
-    top = len(masks) - 1
-    kernels = [top]
-    for i in range(top - 1, -1, -1):
+    kernels = [lat.top]
+    for i in range(lat.top - 1, -1, -1):
         # a later member containing N contains it properly
-        if any(orders[K] // orders[i] in primes and not masks[i] & ~masks[K] for K in kernels):
+        if any(orders[K] // orders[i] in primes and le(i, K) for K in kernels):
             kernels.append(i)
     least = kernels[-1]
     for K in kernels:
-        if masks[least] & ~masks[K]:
+        if not le(least, K):
             raise NotAFormationWitness(
                 members[least], members[K], "supersoluble kernels are not intersection-closed"
             )

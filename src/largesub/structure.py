@@ -25,15 +25,15 @@ closure C.  These sets partition the classes, so the product of a normal
 subgroup N with C is the union of the parts N meets.  A closure that is
 already a product of earlier ones adds nothing.  Only the final list is
 turned back into element tuples.  The table lives for one lattice and is
-never memoized; is_simple reads the same blocks and stops at the first
-class whose closure falls short of H.
+never memoized; is_simple counts the record's members.
 
 The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
 and the class of each element.  A subgroup generated by a union of
 classes is the first member whose mask contains them, since it lies in
-every other.  These questions are answered on the record without closing
-anything:
+every other.  Only this module reads the class bitmasks: the record
+answers every other module in member positions.  These questions are
+answered on the record without closing anything:
 
 * the derived and lower central series of a subgroup normal in its parent
   G walk G's record.  For normal A and B the commutators [a, b] are the
@@ -44,9 +44,10 @@ anything:
   chains of different members, which share their tails, cost one gather
   per new pair;
 * the centralizer in G of a member N is the union of the classes whose
-  representative commutes with N (it is normal), one k x |N| comparison,
-  made once per member; the claim witnesses, all normal in G, read their
-  centralizer order and largeness off it;
+  representative commutes with N; it is normal, so the record stores its
+  position, from one k x |N| comparison made once per member.  The claim
+  witnesses, all normal in G, read their centralizer order and largeness
+  off that member;
 * every chief-factor question reads one climb up the same record as the
   series, chief_steps: each step is the first member inside the top that
   properly contains the last, a chief factor of the record's group;
@@ -259,9 +260,10 @@ class _Lattice:
     """The normal subgroups of a group or subgroup H on its classes: the
     canonical list, each member's class bitmask, the position of each
     member's element tuple, the class of each element of H (-1 outside H,
-    by parent index), and each class's least member and size.  The
-    commutator and centralizer answers are stored as they are asked, so
-    each is gathered once per lattice."""
+    by parent index), and each class's least member and size.  Only this
+    module reads the class bitmasks; every other caller asks about member
+    positions.  The commutator and centralizer answers are stored as they
+    are asked, so each is gathered once per lattice."""
 
     parent: FiniteGroup
     members: list[Subgroup]
@@ -273,13 +275,25 @@ class _Lattice:
     commutators: dict[tuple[int, int], int] = field(default_factory=dict)
     centralizers: dict[int, int] = field(default_factory=dict)
 
+    @property
+    def top(self) -> int:
+        """Position of H itself, the last member."""
+        return len(self.masks) - 1
+
+    def le(self, i: int, j: int) -> bool:
+        """Whether N_i lies in N_j."""
+        return not self.masks[i] & ~self.masks[j]
+
     def least_over(self, mask: int) -> int:
         """Position of the normal subgroup the classes in mask generate:
         the first member containing them, since it lies in every other."""
         return next(i for i, m in enumerate(self.masks) if not mask & ~m)
 
-    def order(self, mask: int) -> int:
-        return sum(self.sizes[j] for j in _bits(mask))
+    def closure_of(self, subgroups) -> int:
+        """Position of the normal closure in H of the given subgroups of H:
+        the first member over the classes that meet them."""
+        classes = {c for T in subgroups for c in self.class_of[T.as_array()].tolist()}
+        return self.least_over(sum(1 << c for c in classes))
 
     def maximal(self, test) -> list[int]:
         """Positions, in canonical order, of the inclusion-maximal members
@@ -327,9 +341,9 @@ class _Lattice:
         return self.least_over(_pack(hit))
 
     def centralizer(self, i: int) -> int:
-        """Class bitmask of the centralizer of member i in H, gathered once
-        per member.  It is normal, so a class lies in it exactly when its
-        least member commutes with every element of N_i."""
+        """Position of the centralizer of member i in H, gathered once per
+        member.  It is normal, so a member, and a class lies in it exactly
+        when its least member commutes with every element of N_i."""
         if i not in self.centralizers:
             self.centralizers[i] = self._centralizer(i)
         return self.centralizers[i]
@@ -337,7 +351,16 @@ class _Lattice:
     def _centralizer(self, i: int) -> int:
         table, s = self.parent.table, self.members[i].as_array()
         reps = self.reps[:, None]
-        return _pack((table[reps, s] == table[s, reps]).all(axis=1))
+        return self.least_over(_pack((table[reps, s] == table[s, reps]).all(axis=1)))
+
+    def abelian(self, i: int) -> bool:
+        """Whether N_i is abelian: every H-class in an abelian N_i has a
+        size dividing |H:N_i|, and past that filter N_i is abelian exactly
+        when it lies in its own centralizer."""
+        index = self.members[-1].order // self.members[i].order
+        if any(index % self.sizes[j] for j in _bits(self.masks[i])):
+            return False
+        return self.le(i, self.centralizer(i))
 
 
 def _lattice(x) -> _Lattice:
@@ -426,13 +449,6 @@ class _ClassProducts:
             rows = [high << 64 | low for high, low in zip(rows, packed[:, w].tolist())]
         return [rows[i : i + k] for i in range(0, len(rows), k)]
 
-    def closures(self):
-        """(column j, closure of class j) for the nontrivial classes j
-        whose closures are all class closures, one of each class and its
-        inverse class."""
-        for _, column in self.columns(self.generating):
-            yield column, _fixpoint(column, 1)
-
 
 def _fixpoint(column, mask: int) -> int:
     """Class bitmask of S * C, for the classes S in mask and the subgroup C
@@ -468,10 +484,11 @@ def _normals(H: Subgroup) -> _Lattice:
     G = H.parent
     classes = conjugacy_classes(H)
     table = _ClassProducts(H)
-    # each distinct class closure C with its first column
+    # each distinct class closure C with its first column, one of each
+    # class and its inverse class
     closures = {}
-    for column, C in table.closures():
-        closures.setdefault(C, column)
+    for _, column in table.columns(table.generating):
+        closures.setdefault(_fixpoint(column, 1), column)
     found = {1}  # the trivial subgroup, then every product
     for C, column in closures.items():
         if C in found:  # a join of earlier closures adds no product
@@ -528,8 +545,7 @@ def maximal_normal_subgroups(x) -> list[Subgroup]:
 
 def _maximal_normals(H: Subgroup) -> list[Subgroup]:
     lat = _lattice(H)
-    top = len(lat.masks) - 1
-    return [lat.members[i] for i in lat.maximal(lambda i: i != top)]
+    return [lat.members[i] for i in lat.maximal(lambda i: i != lat.top)]
 
 
 def _normal_join(H: Subgroup, normals) -> Subgroup:
@@ -553,20 +569,9 @@ def socle(x) -> Subgroup:
 
 def is_simple(x) -> bool:
     """Exactly two normal subgroups, itself and the trivial one (so
-    nontrivial); takes a group or a subgroup.  A group of prime order is
-    simple, and one whose order has one or two prime divisors otherwise is
-    not (Burnside's p^a q^b theorem).  Any other H is simple exactly when
-    every nontrivial class generates H; the closures stop at the first one
-    that falls short."""
-    H = _as_subgroup(x)
-    n = H.order
-    if n == 1 or _is_prime(n):
-        return n > 1
-    if len(prime_factors(n)) < 3:
-        return False
-    table = _ClassProducts(H)
-    whole = (1 << table.k) - 1
-    return all(C == whole for _, C in table.closures())
+    nontrivial); takes a group or a subgroup, and reads its lattice
+    record."""
+    return len(_lattice(x).masks) == 2
 
 
 # -- series -----------------------------------------------------------------
@@ -631,7 +636,7 @@ def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
     built just to learn that the start is not normal."""
     if start.is_whole:
         lat = _lattice(start)
-        return lat, len(lat.masks) - 1
+        return lat, lat.top
     lat = start.parent._cache.get("normal_lattice")
     if lat is None and start.is_normal():
         lat = _lattice(start.parent)
@@ -699,7 +704,7 @@ def chief_series(x) -> SeriesReport:
     term is the first normal subgroup in canonical order strictly above the
     last: a cover of least order, ties to the least element tuple."""
     lat = _lattice(x)
-    steps = list(lat.chief_steps(len(lat.masks) - 1))
+    steps = list(lat.chief_steps(lat.top))
     chain = [lat.members[0], *(lat.members[i] for i, _ in steps)]
     orders = tuple(o for _, o in steps)
     tags = tuple(
@@ -711,25 +716,21 @@ def chief_series(x) -> SeriesReport:
 # -- subnormality ------------------------------------------------------------
 
 
-def subnormal_subgroups(x, *, max_depth: int | None = None) -> list[Subgroup]:
+def subnormal_subgroups(x) -> list[Subgroup]:
     """Fixpoint of "normal subgroup of something already collected",
     starting from the group or subgroup x itself; every member therefore
-    carries a normal chain witnessing subnormality in x.  max_depth bounds
-    the chain length."""
-    return _memoized(x, ("subnormal", max_depth), lambda H: _subnormals(H, max_depth))
+    carries a normal chain witnessing subnormality in x."""
+    return _memoized(x, "subnormal", _subnormals)
 
 
-def _subnormals(H: Subgroup, max_depth: int | None) -> list[Subgroup]:
+def _subnormals(H: Subgroup) -> list[Subgroup]:
     seen = {H.elements: H}
-    queue = [(H, 0)]
+    queue = [H]
     while queue:
-        K, depth = queue.pop()
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for N in normal_subgroups(K):
+        for N in normal_subgroups(queue.pop()):
             if N.elements not in seen:
                 seen[N.elements] = N
-                queue.append((N, depth + 1))
+                queue.append(N)
     return [seen[t] for t in sorted(seen, key=lambda t: (len(t), t))]
 
 

@@ -33,6 +33,7 @@ def test_dump_families_and_counts():
         "radicals",
         "memberships",
         "chief_questions",
+        "largeness",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -40,7 +41,8 @@ def test_dump_families_and_counts():
     # normal subgroup of G (2 + 3 + 4); invariants: G and each of its normal subgroups; reports:
     # one CLI run per selector; ingest: one record per group plus the
     # malformed ones; lattice_answers, subgroup_series, radicals,
-    # memberships and chief_questions: one per group
+    # memberships and chief_questions: one per group; largeness: one per
+    # normal subgroup of G
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -55,6 +57,7 @@ def test_dump_families_and_counts():
         "radicals": 3,
         "memberships": 3,
         "chief_questions": 3,
+        "largeness": 9,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.MALFORMED_RECORDS) == 25

@@ -186,14 +186,19 @@ def test_class_closures_match_normal_closure_on_corpus(corpus):
 
 def test_is_simple_matches_the_lattice_count(corpus, a5):
     # every subnormal subgroup of every eighth corpus group, plus A5 and
-    # its subgroups for the closure path (an order with three primes)
+    # its subgroups, against the oracle's count of normal subgroups; A5
+    # and its subgroups also against their class closures: H is simple
+    # exactly when it is nontrivial and every nontrivial class generates it
     simple = 0
     for G in [*corpus[::8], a5]:
         for H in ls.subnormal_subgroups(G):
-            assert ls.is_simple(H) == (len(ls.normal_subgroups(H)) == 2), (
-                G.display_name,
-                H.elements,
-            )
+            where = (G.display_name, H.elements)
+            assert ls.is_simple(H) == (len(oracles.class_product_lattice(H)["masks"]) == 2), where
+            if G is a5:
+                by_closures = H.order > 1 and all(
+                    ls.normal_closure(H, c) == H for c in ls.conjugacy_classes(H)[1:]
+                )
+                assert ls.is_simple(H) == by_closures, where
             simple += ls.is_simple(H)
     assert simple > 0
     assert not ls.is_simple(ls.trivial_group())
@@ -306,18 +311,31 @@ def test_lattice_series_match_the_commutator_loop_on_corpus(corpus):
 
 
 def test_witness_centralizers_match_centralizer_on_corpus(corpus):
+    # the witnesses, and the record's centralizer and abelian answers for
+    # every member; containment between every two members of every eighth
+    # group
     checked = large = 0
     for G in corpus:
-        for N in ls.normal_subgroups(G):
+        lat = _lattice(G)
+        for i, N in enumerate(lat.members):
+            where = (G.display_name, N.elements)
             cent = ls.centralizer(G, N)
             witness = _witness(G, N, "N")
-            assert (witness.centralizer_order, witness.is_large) == (cent.order, cent <= N), (
-                G.display_name,
-                N.elements,
-            )
+            assert (witness.centralizer_order, witness.is_large) == (cent.order, cent <= N), where
+            assert lat.members[lat.centralizer(i)] == cent, where
+            block = G.table[N.as_array()[:, None], N.as_array()]
+            assert lat.abelian(i) == np.array_equal(block, block.T), where
             checked += 1
             large += witness.is_large
     assert (checked, large) == (4842, 963)
+    pairs = 0
+    for G in corpus[::8]:
+        lat = _lattice(G)
+        for i, N in enumerate(lat.members):
+            for j, M in enumerate(lat.members):
+                assert lat.le(i, j) == (N <= M), (G.display_name, i, j)
+                pairs += 1
+    assert pairs == 21519
 
 
 def test_commutators_and_centralizers_are_gathered_once_per_lattice(corpus, monkeypatch):
@@ -472,11 +490,6 @@ def _has_normal_chain(rows, target):
             if len(absolute) < len(level) and set(target) <= set(absolute):
                 frontier.append(absolute)
     return False
-
-
-def test_subnormal_depth_cap(s4):
-    depth1 = ls.subnormal_subgroups(s4, max_depth=1)
-    assert sorted(S.order for S in depth1) == [1, 4, 12, 24]
 
 
 def test_quotient_group(s4):

@@ -58,6 +58,7 @@ families, each hashed over all 243 groups in corpus order:
                        each with a simple_rule); and
                        has_minimal_supersoluble_residual of G when G is
                        soluble (null otherwise)
+    largeness          is_large(G, N) for each normal subgroup N of G
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -108,6 +109,7 @@ FAMILIES = (
     "radicals",
     "memberships",
     "chief_questions",
+    "largeness",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -309,6 +311,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         put("radicals", _radicals(G))
         put("memberships", _memberships(G, normals))
         put("chief_questions", _chief_questions(G, normals))
+        for N in normals:
+            put("largeness", ls.is_large(G, N))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
