@@ -492,6 +492,27 @@ def _has_normal_chain(rows, target):
     return False
 
 
+def test_subnormal_subgroups_match_wielandt_series(small_zoo):
+    # completeness as well as soundness, against an independent test of
+    # every subgroup: S is subnormal exactly when the series of repeated
+    # normal closures K_0 = G, K_{i+1} = S^{K_i} comes down to S
+    for G in small_zoo:
+        rows = _rows(G)
+        expected = []
+        for S in oracles.all_subgroups(rows):
+            K = tuple(range(len(rows)))
+            while True:
+                conj = {oracles.conjugate(rows, s, k) for s in S for k in K}
+                closed = tuple(oracles.closure(rows, conj))
+                if closed == K:
+                    break
+                K = closed
+            if K == S:
+                expected.append(S)
+        got = sorted(tuple(sorted(S.elements)) for S in ls.subnormal_subgroups(G))
+        assert got == sorted(expected), G.display_name
+
+
 def test_quotient_group(s4):
     V4 = next(N for N in ls.normal_subgroups(s4) if N.order == 4)
     Q, proj = ls.quotient_group(s4, V4)
