@@ -19,13 +19,12 @@ from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
+    _commutator_walk,
     _lattice,
     _memoized,
     _record_of,
     chief_series,
     composition_factors,
-    derived_series,
-    lower_central_series,
 )
 
 
@@ -101,7 +100,7 @@ def _nilpotency_class(H: Subgroup) -> int | None:
             F = fitting_subgroup(H.parent).subgroup
             if not lat.le(i, lat.index[F.elements]):
                 return None
-    return _length(lower_central_series(H))
+    return _length(H, derived=False)
 
 
 def derived_length(G: FiniteGroup) -> int | None:
@@ -109,12 +108,14 @@ def derived_length(G: FiniteGroup) -> int | None:
     insoluble group.  Trivial group: 0, nontrivial abelian: 1.  Takes a
     group or a subgroup, like the series; the result is memoized on the
     parent."""
-    return _memoized(G, "derived_length", lambda H: _length(derived_series(H)))
+    return _memoized(G, "derived_length", lambda H: _length(H, derived=True))
 
 
-def _length(series) -> int | None:
-    # steps down to the trivial subgroup; None if the series stops above it
-    return len(series.chain) - 1 if series.last.is_trivial else None
+def _length(H: Subgroup, *, derived: bool) -> int | None:
+    # steps of the walk down to the trivial member, position 0; None if the
+    # series stops above it
+    _, chain = _commutator_walk(H, derived=derived)
+    return len(chain) - 1 if chain[-1] == 0 else None
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

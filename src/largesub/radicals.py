@@ -23,7 +23,6 @@ from .classes import ClassPredicate, _validate_pi, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group
 from .structure import (
-    _is_prime,
     _lattice,
     _memoized,
     _normal_join,
@@ -216,13 +215,16 @@ def supersoluble_residual(G: FiniteGroup) -> Subgroup:
     return _memoized(G, "supersoluble_residual", _supersoluble_residual)
 
 
+def _prime_indices(n: int) -> frozenset[int]:
+    # the prime indices of one member in another: every index divides n
+    return frozenset(prime_factors(n))
+
+
 def _supersoluble_residual(H: Subgroup) -> Subgroup:
     lat = _lattice(H)
     members, le = lat.members, lat.le
     orders = [N.order for N in members]
-    # every index divides |H|: test each divisor of |H| for primality once
-    n = orders[-1]
-    primes = frozenset(q for q in range(2, n + 1) if n % q == 0 and _is_prime(q))
+    primes = _prime_indices(orders[-1])
     kernels = [lat.top]
     for i in range(lat.top - 1, -1, -1):
         # a later member containing N contains it properly

@@ -29,25 +29,33 @@ never memoized; is_simple counts the record's members.
 
 The same pass leaves a private lattice record, memoized next to the list:
 each member's class bitmask, the position of each member's element tuple,
-and the class of each element.  A subgroup generated by a union of
-classes is the first member whose mask contains them, since it lies in
-every other.  Only this module reads the class bitmasks: the record
-answers every other module in member positions.  These questions are
-answered on the record without closing anything:
+the class of each element, and how the build found each member.  Every
+member but the trivial one was found as N_prev * C_j, for an earlier
+member N_prev and the closure C_j of class j; one int32 row per member
+holds the position of N_prev and j, so the walk back to the trivial
+member lists classes that generate the member, its generating classes.
+A subgroup generated by a union of classes is the first member whose mask
+contains them, since it lies in every other.  Only this module reads the
+class bitmasks: the record answers every other module in member
+positions.  These questions are answered on the record without closing
+anything:
 
 * the derived and lower central series of a subgroup normal in its parent
-  G walk G's record.  For normal A and B the commutators [a, b] are the
-  classes of [r, b] for r over the class representatives of A and b over
-  B, because [r^g, b] = [r, b^(g^-1)]^g.  Every term is characteristic in
-  the start, so a start that is not normal in G walks its own record.
-  Each unordered pair of members is gathered once per lattice, so the
-  chains of different members, which share their tails, cost one gather
-  per new pair;
+  G walk G's record as member positions, and classes.nilpotency_class and
+  derived_length read the length of that walk.  For members A and B, with
+  X the representatives of A's generating classes and Y the elements of
+  B's, [A, B] is the first member over the classes of the [x, y]: A is
+  the normal closure of X, B is generated by Y, and [x, y1 y2] =
+  [x, y2][x, y1]^y2 and [x^g, y] = [x, y^(g^-1)]^g.  Every term is
+  characteristic in the start, so a start that is not normal in G walks
+  its own record.  Each unordered pair of members is gathered once per
+  lattice, so the chains of different members, which share their tails,
+  cost one gather per new pair;
 * the centralizer in G of a member N is the union of the classes whose
-  representative commutes with N; it is normal, so the record stores its
-  position, from one k x |N| comparison made once per member.  The claim
-  witnesses, all normal in G, read their centralizer order and largeness
-  off that member;
+  representative commutes with the elements of N's generating classes;
+  it is normal, so the record stores its position, from one comparison
+  made once per member.  The claim witnesses, all normal in G, read their
+  centralizer order and largeness off that member;
 * every chief-factor question reads one climb up the same record as the
   series, chief_steps: each step is the first member inside the top that
   properly contains the last, a chief factor of the record's group;
@@ -260,18 +268,22 @@ class _Lattice:
     """The normal subgroups of a group or subgroup H on its classes: the
     canonical list, each member's class bitmask, the position of each
     member's element tuple, the class of each element of H (-1 outside H,
-    by parent index), and each class's least member and size.  Only this
-    module reads the class bitmasks; every other caller asks about member
-    positions.  The commutator and centralizer answers are stored as they
-    are asked, so each is gathered once per lattice."""
+    by parent index), the classes and each one's least member, and steps:
+    row i holds the position of N_prev and the class j of C_j for which the
+    build found N_i as N_prev * C_j (zero for the trivial member).  The
+    commutator and centralizer gathers run over the generating classes
+    that steps gives, and their answers are stored as they are asked, so
+    each is gathered once per lattice.  Only this module reads the class
+    bitmasks; every other caller asks about member positions."""
 
     parent: FiniteGroup
     members: list[Subgroup]
     masks: tuple[int, ...]
     index: dict[tuple[int, ...], int]
     class_of: np.ndarray
+    classes: list[tuple[int, ...]]
     reps: np.ndarray
-    sizes: tuple[int, ...]
+    steps: np.ndarray
     commutators: dict[tuple[int, int], int] = field(default_factory=dict)
     centralizers: dict[int, int] = field(default_factory=dict)
 
@@ -319,46 +331,60 @@ class _Lattice:
                 yield j, self.members[j].order // self.members[last].order
                 last = j
 
+    def generating_classes(self, i: int) -> list[int]:
+        """Classes that generate N_i: the class j of each row of steps on
+        the walk back from N_i to the trivial member."""
+        classes = []
+        while i:
+            i, j = self.steps[i].tolist()
+            classes.append(j)
+        return classes
+
+    def _elements_of(self, classes: list[int]) -> np.ndarray:
+        # parent indices of the elements of the listed classes
+        return np.array([x for j in classes for x in self.classes[j]], dtype=np.int64)
+
     def commutator(self, i: int, j: int) -> int:
         """Position of [N_i, N_j] for members i and j, gathered once per
         unordered pair since [N_i, N_j] = [N_j, N_i]: the derived and lower
         central chains of different members share their tails, so later
-        chains are lookups.  The commutators form a union of classes, and
-        [r^g, b] = [r, b^(g^-1)]^g with b^(g^-1) in N_j, so the classes of
-        [r, b] for r over the least members of the classes of N_i and b
-        over N_j are all of them."""
+        chains are lookups."""
         key = (i, j) if i <= j else (j, i)
         if key not in self.commutators:
             self.commutators[key] = self._commutator(*key)
         return self.commutators[key]
 
     def _commutator(self, i: int, j: int) -> int:
+        # [N_i, N_j] is the normal closure of the [x, y], x over the
+        # representatives of N_i's generating classes and y over the
+        # elements of N_j's (see the module docstring)
         table, inv = self.parent.table, self.parent.inverses
-        a = self.reps[list(_bits(self.masks[i]))]
-        b = self.members[j].as_array()
-        hit = np.zeros(len(self.reps), dtype=bool)
-        hit[self.class_of[table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]]] = True
-        return self.least_over(_pack(hit))
+        a = self.reps[self.generating_classes(i)]
+        b = self._elements_of(self.generating_classes(j))
+        comms = table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]
+        return self.least_over(sum(1 << c for c in set(self.class_of[comms].ravel().tolist())))
 
     def centralizer(self, i: int) -> int:
         """Position of the centralizer of member i in H, gathered once per
         member.  It is normal, so a member, and a class lies in it exactly
-        when its least member commutes with every element of N_i."""
+        when its least member commutes with the elements of the classes
+        that generate N_i."""
         if i not in self.centralizers:
             self.centralizers[i] = self._centralizer(i)
         return self.centralizers[i]
 
     def _centralizer(self, i: int) -> int:
-        table, s = self.parent.table, self.members[i].as_array()
+        table, s = self.parent.table, self._elements_of(self.generating_classes(i))
         reps = self.reps[:, None]
-        return self.least_over(_pack((table[reps, s] == table[s, reps]).all(axis=1)))
+        inside = np.flatnonzero((table[reps, s] == table[s, reps]).all(axis=1))
+        return self.least_over(sum(1 << c for c in inside.tolist()))
 
     def abelian(self, i: int) -> bool:
         """Whether N_i is abelian: every H-class in an abelian N_i has a
         size dividing |H:N_i|, and past that filter N_i is abelian exactly
         when it lies in its own centralizer."""
         index = self.members[-1].order // self.members[i].order
-        if any(index % self.sizes[j] for j in _bits(self.masks[i])):
+        if any(index % len(self.classes[j]) for j in _bits(self.masks[i])):
             return False
         return self.le(i, self.centralizer(i))
 
@@ -372,11 +398,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _pack(hit: np.ndarray) -> int:
-    # a 1-d bool array as a bitmask, bit j for entry j
-    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
 # Bytes of one block of the class product table: a block of b columns is
@@ -484,13 +505,15 @@ def _normals(H: Subgroup) -> _Lattice:
     G = H.parent
     classes = conjugacy_classes(H)
     table = _ClassProducts(H)
-    # each distinct class closure C with its first column, one of each
-    # class and its inverse class
+    # each distinct class closure C with its first class and column, one of
+    # each class and its inverse class
     closures = {}
-    for _, column in table.columns(table.generating):
-        closures.setdefault(_fixpoint(column, 1), column)
-    found = {1}  # the trivial subgroup, then every product
-    for C, column in closures.items():
+    for j, column in table.columns(table.generating):
+        closures.setdefault(_fixpoint(column, 1), (j, column))
+    # every product found, from the trivial subgroup, with the N and the
+    # class j of the closure it was first found as N * C_j
+    found = {1: (1, 0)}
+    for C, (j, column) in closures.items():
         if C in found:  # a join of earlier closures adds no product
             continue
         # N * C is the union of the cosets of C that N meets
@@ -500,19 +523,23 @@ def _normals(H: Subgroup) -> _Lattice:
             for part in parts:
                 if part & N:
                     product |= part
-            found.add(product)
+            found.setdefault(product, (N, j))
     ranked = sorted(
         ((tuple(sorted(x for i in _bits(N) for x in classes[i])), N) for N in found),
         key=lambda pair: (len(pair[0]), pair[0]),
     )
+    position = {N: i for i, (_, N) in enumerate(ranked)}
     return _Lattice(
         parent=G,
         members=[Subgroup._sorted(G, t) for t, _ in ranked],
         masks=tuple(N for _, N in ranked),
         index={t: i for i, (t, _) in enumerate(ranked)},
         class_of=table.class_of,
+        classes=classes,
         reps=table.reps,
-        sizes=table.sizes,
+        steps=np.asarray(
+            [(position[found[N][0]], found[N][1]) for _, N in ranked], dtype=np.int32
+        ),
     )
 
 
@@ -614,19 +641,21 @@ class SeriesReport:
 def derived_series(x) -> SeriesReport:
     """Repeated commutator subgroups until stable; ends at the trivial
     subgroup exactly for soluble inputs."""
-    chain = _commutator_chain(_as_subgroup(x), derived=True)
-    orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
-    tags = tuple(FactorTag(o, _is_prime(o), abelian=True) for o in orders)
-    return SeriesReport("derived", tuple(chain), orders, tags)
+    return _commutator_series(x, "derived")
 
 
 def lower_central_series(x) -> SeriesReport:
     """Iterated commutators with the whole input subgroup; reaches the
     trivial subgroup exactly for nilpotent inputs."""
-    chain = _commutator_chain(_as_subgroup(x), derived=False)
+    return _commutator_series(x, "lower_central")
+
+
+def _commutator_series(x, kind: str) -> SeriesReport:
+    lat, walk = _commutator_walk(_as_subgroup(x), derived=kind == "derived")
+    chain = tuple(lat.members[i] for i in walk)
     orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
     tags = tuple(FactorTag(o, _is_prime(o), abelian=True) for o in orders)
-    return SeriesReport("lower_central", tuple(chain), orders, tags)
+    return SeriesReport(kind, chain, orders, tags)
 
 
 def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
@@ -645,11 +674,12 @@ def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
     return lat, lat.index[start.elements]
 
 
-def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
-    # term i+1 is [term i, term i] (derived) or [start, term i] (lower
-    # central) until it repeats.  Every term is characteristic in the
-    # start, so normal in the parent G whenever the start is: the walk runs
-    # on the record _record_of picks
+def _commutator_walk(start: Subgroup, *, derived: bool) -> tuple[_Lattice, list[int]]:
+    """The record _record_of picks, and the positions on it of the derived
+    (derived) or lower central series of the start: term i+1 is [term i,
+    term i] or [start, term i] until it repeats.  Every term is
+    characteristic in the start, so normal in the parent G whenever the
+    start is.  The trivial member is position 0."""
     lat, i = _record_of(start)
     chain = [i]
     while True:
@@ -657,7 +687,7 @@ def _commutator_chain(start: Subgroup, *, derived: bool) -> list[Subgroup]:
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    return [lat.members[i] for i in chain]
+    return lat, chain
 
 
 def composition_series(x, *, rng=None) -> SeriesReport:

@@ -38,9 +38,17 @@ def _steps_to_trivial(series):
 
 
 def _count_series_calls(monkeypatch, modules=(classes,)):
-    """Count the series that nilpotency_class and derived_length compute,
-    and those that any other of the modules given computes."""
+    """Count the commutator walks that nilpotency_class and derived_length
+    make, under the name of the series each walks, and the series that any
+    other of the modules given computes."""
     calls = collections.Counter()
+    walk = classes._commutator_walk
+
+    def counting_walk(start, *, derived):
+        calls["derived_series" if derived else "lower_central_series"] += 1
+        return walk(start, derived=derived)
+
+    monkeypatch.setattr(classes, "_commutator_walk", counting_walk)
     for module in modules:
         for name in ("lower_central_series", "derived_series"):
             real = getattr(module, name, None)

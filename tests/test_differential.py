@@ -38,17 +38,25 @@ Solubility, pi-separability and the minimal-or-trivial supersoluble
 residual all read one chief climb of a lattice record.  On the same
 subgroups they are checked against oracles that take no climb: the
 derived length, the composition factor orders, and the residual's place
-among the minimal normal subgroups."""
+among the minimal normal subgroups.
+
+The lattice record gathers [N_i, N_j] and C(N_i) from the classes that
+generate each member, as the record's build found it.  The commutators of
+every two members are checked against commutator_subgroup, which gathers
+over all of both subgroups, and each member's generating classes against
+the closure of their elements."""
 
 import itertools
 import operator
 import random
+import time
 
 import numpy as np
 import pytest
 
 import largesub as ls
 from largesub.groups import pi_part
+from largesub.structure import _lattice
 
 PRIME_SETS = [(2,), (3,), (2, 3), (5,)]
 
@@ -453,3 +461,28 @@ def test_chief_climb_matches_independent_oracles(membership_targets):
     assert checked > 3_000
     assert insoluble > 100
     assert 0 < minimal < len(groups)
+
+
+def test_record_gathers_match_the_full_gather_and_the_closures(corpus):
+    # [N_i, N_j] for every ordered pair of members of every 4th group and
+    # of SL(2,5) x Q8, on copies with empty caches so that each pair is
+    # gathered here; the generating classes of every member of every group
+    start = time.monotonic()
+    pairs = members = 0
+    P = ls.direct_product(_special_linear_2_5(), ls.quaternion_group(8))
+    for G in [*map(_fresh, corpus[::4]), P]:
+        lat = _lattice(G)
+        for i, N in enumerate(lat.members):
+            for j, M in enumerate(lat.members):
+                want = ls.commutator_subgroup(G, N, M)
+                assert lat.members[lat.commutator(i, j)] == want, (G.display_name, i, j)
+                pairs += 1
+    for G in corpus:
+        lat, classes = _lattice(G), ls.conjugacy_classes(G)
+        for i, N in enumerate(lat.members):
+            gens = lat.generating_classes(i)
+            assert lat.least_over(sum(1 << c for c in gens)) == i, (G.display_name, i)
+            assert ls.closure(G, [x for c in gens for x in classes[c]]) == N, (G.display_name, i)
+            members += 1
+    assert (pairs, members) == (49_830, 4842)
+    assert time.monotonic() - start < 10

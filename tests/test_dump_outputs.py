@@ -34,6 +34,7 @@ def test_dump_families_and_counts():
         "memberships",
         "chief_questions",
         "largeness",
+        "commutators",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -42,7 +43,8 @@ def test_dump_families_and_counts():
     # one CLI run per selector; ingest: one record per group plus the
     # malformed ones; lattice_answers, subgroup_series, radicals,
     # memberships and chief_questions: one per group; largeness: one per
-    # normal subgroup of G
+    # normal subgroup of G; commutators: one per unordered pair of normal
+    # subgroups of G (3 + 6 + 10)
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -58,6 +60,7 @@ def test_dump_families_and_counts():
         "memberships": 3,
         "chief_questions": 3,
         "largeness": 9,
+        "commutators": 19,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.MALFORMED_RECORDS) == 25

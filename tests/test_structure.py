@@ -147,7 +147,7 @@ def test_lattice_records_match_the_per_class_enumeration(corpus):
         assert np.array_equal(lat.class_of, want["class_of"]), where
         assert lat.class_of.dtype == want["class_of"].dtype, where
         assert np.array_equal(lat.reps, want["reps"]), where
-        assert lat.sizes == want["sizes"], where
+        assert tuple(map(len, lat.classes)) == want["sizes"], where
     assert len(subgroups) > 1500
 
 

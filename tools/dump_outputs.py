@@ -59,6 +59,9 @@ families, each hashed over all 243 groups in corpus order:
                        has_minimal_supersoluble_residual of G when G is
                        soluble (null otherwise)
     largeness          is_large(G, N) for each normal subgroup N of G
+    commutators        [N_i, N_j] from the lattice record, for every
+                       unordered pair of normal subgroups of each G with
+                       at most 40 of them (i <= j in canonical order)
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -80,6 +83,7 @@ import numpy as np  # noqa: E402
 
 import largesub as ls  # noqa: E402
 from largesub import cli  # noqa: E402
+from largesub.structure import _lattice  # noqa: E402
 
 SELECTORS = (
     "D",
@@ -110,6 +114,7 @@ FAMILIES = (
     "memberships",
     "chief_questions",
     "largeness",
+    "commutators",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -313,6 +318,10 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         put("chief_questions", _chief_questions(G, normals))
         for N in normals:
             put("largeness", ls.is_large(G, N))
+        if len(normals) <= 40:
+            lat = _lattice(G)
+            for i, j in itertools.combinations_with_replacement(range(len(normals)), 2):
+                put("commutators", lat.members[lat.commutator(i, j)].elements)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
