@@ -23,7 +23,6 @@ from .structure import (
     _lattice,
     _memoized,
     _record_of,
-    chief_series,
     composition_factors,
 )
 
@@ -134,8 +133,12 @@ def is_soluble(G: FiniteGroup) -> bool:
 
 
 def is_supersoluble(G: FiniteGroup) -> bool:
-    """All chief factors of prime order."""
-    return all(tag.prime_order for tag in chief_series(G).factor_tags)
+    """Takes a group or a subgroup x: all chief factors of x of prime order,
+    read on the climb of x's own record.  Not on the parent's: a chief
+    factor of the parent can split inside x (V4 is one chief factor of A4
+    and two of V4 itself)."""
+    lat = _lattice(G)
+    return all(prime_factors(o) == (o,) for _, o in lat.chief_steps(lat.top))
 
 
 def _validate_pi(pi) -> tuple[int, ...]:

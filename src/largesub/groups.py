@@ -211,9 +211,6 @@ class FiniteGroup:
             self._cache["element_orders"] = orders
         return orders
 
-    def element_order(self, a: int) -> int:
-        return int(self.element_orders()[a])
-
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 

@@ -77,7 +77,9 @@ of chief_steps.  Minimal normal subgroups compare masks with the earlier
 members only, since a proper subgroup comes earlier in the canonical
 order.  The normal structure functions and
 the series take a group or a Subgroup H of it and work on the parent's
-table, memoizing H's results on the parent.
+table, memoizing H's results on the parent.  A series report holds its
+chain and nothing else; its factor orders are read off the orders of the
+chain's terms.
 Only the composition factors build groups, induced groups and their
 quotients, and only a class defined by a user needs them:
 in_extension_closure decides the built-in classes from the chief factor
@@ -92,7 +94,6 @@ import numpy as np
 
 from .errors import ForeignSubgroup, TrivialGroup
 from .groups import (
-    _EMPTY,
     FiniteGroup,
     Subgroup,
     _close,
@@ -101,10 +102,6 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
 )
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and prime_factors(n) == (n,)
 
 
 def _elements_array(G: FiniteGroup, elements) -> np.ndarray:
@@ -163,7 +160,7 @@ def _classes(H: Subgroup) -> list[tuple[int, ...]]:
     return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-# -- closures, centralizers, commutators ------------------------------------
+# -- closures, centralizers, joins ------------------------------------------
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
@@ -208,27 +205,6 @@ def _center(H: Subgroup) -> Subgroup:
     hs = H.as_array()
     block = H.parent.table[hs[:, None], hs]
     return Subgroup._sorted(H.parent, tuple(hs[(block == block.T).all(axis=1)].tolist()))
-
-
-def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
-    """Subgroup generated by all commutators [a, b] with a in first and b in
-    second (exhaustive over the two sets, then closed)."""
-    a = _elements_array(G, first)
-    b = _elements_array(G, second)
-    table, inv = G.table, G.inverses
-    comms = table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]
-    return Subgroup._sorted(G, tuple(_close(table, _EMPTY, comms).tolist()))
-
-
-def normal_closure(x, seed) -> Subgroup:
-    """Smallest normal subgroup of the group or subgroup x containing the
-    seed (which must lie in x): close all x-conjugates of the seed under
-    multiplication."""
-    H = _as_subgroup(x)
-    G, hs = H.parent, H.as_array()
-    seed = _elements_array(G, seed)
-    conj = G.table[G.table[hs[:, None], seed], G.inverses[hs][:, None]]
-    return Subgroup._sorted(G, tuple(_close(G.table, _EMPTY, conj).tolist()))
 
 
 def join(first: Subgroup, second: Subgroup) -> Subgroup:
@@ -605,57 +581,39 @@ def is_simple(x) -> bool:
 
 
 @dataclass(frozen=True)
-class FactorTag:
-    """What is known about one series factor.  ``is_simple``/``abelian`` are
-    None when the series kind does not establish them."""
-
-    order: int
-    prime_order: bool
-    abelian: bool | None = None
-    is_simple: bool | None = None
-
-
-@dataclass(frozen=True)
 class SeriesReport:
-    """A subgroup chain with its factor data.
+    """A strictly monotone subgroup chain: the derived, lower central and
+    composition series descend, the chief series ascends.  Factor i has
+    the order of the larger of chain[i] and chain[i+1] over the smaller,
+    so one rule serves both directions."""
 
-    kind: 'derived' | 'lower_central' | 'composition' | 'chief'.
-    Chains are strictly monotone; derived/lower_central/composition descend,
-    chief ascends.  factor_orders[i] is the index of chain[i+1] in chain[i]
-    (or the other way around for ascending chains).
-    """
-
-    kind: str
     chain: tuple[Subgroup, ...]
-    factor_orders: tuple[int, ...]
-    factor_tags: tuple[FactorTag, ...]
 
     @property
     def last(self) -> Subgroup:
         return self.chain[-1]
 
-    def __len__(self) -> int:
-        return len(self.factor_orders)
+    @property
+    def factor_orders(self) -> tuple[int, ...]:
+        orders = [S.order for S in self.chain]
+        return tuple(max(a, b) // min(a, b) for a, b in zip(orders, orders[1:]))
 
 
 def derived_series(x) -> SeriesReport:
     """Repeated commutator subgroups until stable; ends at the trivial
     subgroup exactly for soluble inputs."""
-    return _commutator_series(x, "derived")
+    return _commutator_series(x, derived=True)
 
 
 def lower_central_series(x) -> SeriesReport:
     """Iterated commutators with the whole input subgroup; reaches the
     trivial subgroup exactly for nilpotent inputs."""
-    return _commutator_series(x, "lower_central")
+    return _commutator_series(x, derived=False)
 
 
-def _commutator_series(x, kind: str) -> SeriesReport:
-    lat, walk = _commutator_walk(_as_subgroup(x), derived=kind == "derived")
-    chain = tuple(lat.members[i] for i in walk)
-    orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
-    tags = tuple(FactorTag(o, _is_prime(o), abelian=True) for o in orders)
-    return SeriesReport(kind, chain, orders, tags)
+def _commutator_series(x, *, derived: bool) -> SeriesReport:
+    lat, walk = _commutator_walk(_as_subgroup(x), derived=derived)
+    return SeriesReport(tuple(lat.members[i] for i in walk))
 
 
 def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
@@ -705,11 +663,7 @@ def composition_series(x, *, rng=None) -> SeriesReport:
             chain.append(cands[0])
         else:
             chain.append(cands[rng.randrange(len(cands))])
-    orders = tuple(chain[i].order // chain[i + 1].order for i in range(len(chain) - 1))
-    tags = tuple(
-        FactorTag(o, _is_prime(o), abelian=_is_prime(o), is_simple=True) for o in orders
-    )
-    return SeriesReport("composition", tuple(chain), orders, tags)
+    return SeriesReport(tuple(chain))
 
 
 def composition_factors(x) -> list[FiniteGroup]:
@@ -734,13 +688,8 @@ def chief_series(x) -> SeriesReport:
     term is the first normal subgroup in canonical order strictly above the
     last: a cover of least order, ties to the least element tuple."""
     lat = _lattice(x)
-    steps = list(lat.chief_steps(lat.top))
-    chain = [lat.members[0], *(lat.members[i] for i, _ in steps)]
-    orders = tuple(o for _, o in steps)
-    tags = tuple(
-        FactorTag(o, _is_prime(o), abelian=len(prime_factors(o)) <= 1) for o in orders
-    )
-    return SeriesReport("chief", tuple(chain), orders, tags)
+    steps = lat.chief_steps(lat.top)
+    return SeriesReport((lat.members[0], *(lat.members[i] for i, _ in steps)))
 
 
 # -- subnormality ------------------------------------------------------------

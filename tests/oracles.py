@@ -4,16 +4,20 @@ Everything here works on a plain list-of-lists multiplication table and
 favors the most obvious loops over any cleverness; the point is to be
 unarguably correct, not fast.  Keep the inputs tiny.  The exception is
 light_generators_by_closure, a numpy routine built on the library's
-closure, which is fast enough to check every corpus group, and
+closure, which is fast enough to check every corpus group,
 direct_product_by_tiling, which builds product tables with whole-array
-repeats and tiles.
+repeats and tiles, and commutator_subgroup and normal_closure,
+element-level gathers on a library group (over every element given, then
+closed) that are the references for the lattice record's commutators and
+normal closures.
 """
 
 import itertools
 
 import numpy as np
 
-from largesub.groups import FiniteGroup, _close
+from largesub.groups import _EMPTY, FiniteGroup, Subgroup, _close
+from largesub.structure import _as_subgroup, _elements_array
 
 
 def as_rows(table):
@@ -97,7 +101,7 @@ def normal_subgroups(table):
     return sorted(out)
 
 
-def commutator_subgroup(table, first, second):
+def commutator_closure(table, first, second):
     gens = set()
     for a in first:
         for b in second:
@@ -112,7 +116,7 @@ def commutator_series(table, elems, *, derived):
     with itself, or with elems, until a term repeats."""
     chain = [sorted(int(x) for x in elems)]
     while True:
-        nxt = commutator_subgroup(table, chain[-1] if derived else chain[0], chain[-1])
+        nxt = commutator_closure(table, chain[-1] if derived else chain[0], chain[-1])
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
@@ -278,6 +282,27 @@ def class_product_lattice(H):
         "reps": table.reps,
         "sizes": tuple(map(len, table.classes)),
     }
+
+
+def commutator_subgroup(G: FiniteGroup, first, second) -> Subgroup:
+    """Subgroup generated by all commutators [a, b] with a in first and b in
+    second (exhaustive over the two sets, then closed)."""
+    a = _elements_array(G, first)
+    b = _elements_array(G, second)
+    table, inv = G.table, G.inverses
+    comms = table[table[inv[a][:, None], inv[b]], table[a[:, None], b]]
+    return Subgroup._sorted(G, tuple(_close(table, _EMPTY, comms).tolist()))
+
+
+def normal_closure(x, seed) -> Subgroup:
+    """Smallest normal subgroup of the group or subgroup x containing the
+    seed (which must lie in x): close all x-conjugates of the seed under
+    multiplication."""
+    H = _as_subgroup(x)
+    G, hs = H.parent, H.as_array()
+    seed = _elements_array(G, seed)
+    conj = G.table[G.table[hs[:, None], seed], G.inverses[hs][:, None]]
+    return Subgroup._sorted(G, tuple(_close(G.table, _EMPTY, conj).tolist()))
 
 
 class ClosureCapExceeded(Exception):

@@ -138,34 +138,6 @@ def test_claim_e_on_a_soluble_group_builds_no_sublattice(corpus):
     assert checked > 20
 
 
-def test_soluble_groups_read_no_chief_series(corpus, monkeypatch):
-    calls = collections.Counter()
-    real = classes.chief_series
-
-    def counting(x):
-        calls["chief_series"] += 1
-        return real(x)
-
-    monkeypatch.setattr(classes, "chief_series", counting)
-    keys = ("soluble", "nilpotent", "supersoluble", "pi_separable:2", "normal_hall_pi_prime:3")
-    checked = 0
-    for G in corpus[::3]:
-        if not ls.is_soluble(G):
-            continue
-        # the unpatched chief series gives the same verdicts
-        factor_primes = [set(ls.prime_factors(o)) for o in ls.chief_series(G).factor_orders]
-        for p in (2, 3, 5):
-            want = all(ps <= {p} or p not in ps for ps in factor_primes)
-            assert ls.is_pi_separable(G, [p]) == want, (G.display_name, p)
-        for key in keys:
-            X = ls.builtin_class(key)
-            want = all(X.simple_rule(frozenset(ps)) for ps in factor_primes)
-            assert ls.in_extension_closure(X, G) == want, (G.display_name, key)
-        checked += 1
-    assert checked > 50
-    assert not calls
-
-
 def test_nilpotent_soluble_supersoluble(s4, a4, a5):
     assert ls.is_nilpotent(ls.dihedral_group(16))
     assert not ls.is_nilpotent(ls.symmetric_group(3))

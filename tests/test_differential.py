@@ -38,7 +38,10 @@ Solubility, pi-separability and the minimal-or-trivial supersoluble
 residual all read one chief climb of a lattice record.  On the same
 subgroups they are checked against oracles that take no climb: the
 derived length, the composition factor orders, and the residual's place
-among the minimal normal subgroups.
+among the minimal normal subgroups.  Supersolubility reads the climb of
+each subgroup's own record, and is checked on every corpus group and each
+of its normal subgroups against a trivial supersoluble residual, whose
+walk reads no chief steps.
 
 The lattice record gathers [N_i, N_j] and C(N_i) from the classes that
 generate each member, as the record's build found it.  The commutators of
@@ -58,6 +61,8 @@ import largesub as ls
 from largesub.groups import pi_part
 from largesub.structure import _lattice
 
+from oracles import commutator_subgroup
+
 PRIME_SETS = [(2,), (3,), (2, 3), (5,)]
 
 
@@ -71,6 +76,31 @@ def test_supersoluble_residual_matches_class_residual(groups):
     supersoluble = ls.builtin_class("supersoluble")
     for G in groups:
         assert ls.supersoluble_residual(G) == ls.class_residual(G, supersoluble), G.display_name
+
+
+def test_is_supersoluble_matches_a_trivial_residual_on_corpus(corpus):
+    # the chief climb of each target's own record against the residual
+    # walk, which reads no chief steps, on every corpus group and each of
+    # its normal subgroups (fresh copies)
+    start = time.monotonic()
+    targets = supersoluble = 0
+    for G in map(_fresh, corpus):
+        for x in [G, *ls.normal_subgroups(G)]:
+            verdict = ls.is_supersoluble(x)
+            assert verdict == ls.supersoluble_residual(x).is_trivial, (G.display_name, x.order)
+            targets += 1
+            supersoluble += verdict
+    assert targets == 5085
+    assert 0 < supersoluble < targets
+    # V4 is one chief factor of A4 and two of V4 itself, so a climb on the
+    # parent's record would call V4 not supersoluble
+    A4 = ls.alternating_group(4)
+    V4 = next(N for N in ls.normal_subgroups(A4) if N.order == 4)
+    assert ls.chief_series(A4).factor_orders == (4, 3)
+    assert ls.chief_series(V4).factor_orders == (2, 2)
+    assert not ls.is_supersoluble(A4)
+    assert ls.is_supersoluble(V4)
+    assert time.monotonic() - start < 10
 
 
 def test_two_step_core_matches_quotient_preimage(groups):
@@ -127,7 +157,7 @@ def _lift(back, subgroups, G):
 
 def _quasisimple_by_quotient(H):
     # perfect, and simple modulo the center (the quotient-group definition)
-    if H.order == 1 or ls.commutator_subgroup(H, H.whole(), H.whole()) != H.whole():
+    if H.order == 1 or commutator_subgroup(H, H.whole(), H.whole()) != H.whole():
         return False
     return ls.is_simple(ls.quotient_group(H, ls.center(H))[0])
 
@@ -474,7 +504,7 @@ def test_record_gathers_match_the_full_gather_and_the_closures(corpus):
         lat = _lattice(G)
         for i, N in enumerate(lat.members):
             for j, M in enumerate(lat.members):
-                want = ls.commutator_subgroup(G, N, M)
+                want = commutator_subgroup(G, N, M)
                 assert lat.members[lat.commutator(i, j)] == want, (G.display_name, i, j)
                 pairs += 1
     for G in corpus:

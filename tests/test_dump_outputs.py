@@ -35,6 +35,7 @@ def test_dump_families_and_counts():
         "chief_questions",
         "largeness",
         "commutators",
+        "info",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -44,7 +45,7 @@ def test_dump_families_and_counts():
     # malformed ones; lattice_answers, subgroup_series, radicals,
     # memberships and chief_questions: one per group; largeness: one per
     # normal subgroup of G; commutators: one per unordered pair of normal
-    # subgroups of G (3 + 6 + 10)
+    # subgroups of G (3 + 6 + 10); info: one report per group
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -61,6 +62,7 @@ def test_dump_families_and_counts():
         "chief_questions": 3,
         "largeness": 9,
         "commutators": 19,
+        "info": 3,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.MALFORMED_RECORDS) == 25

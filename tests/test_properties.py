@@ -45,7 +45,7 @@ def test_components_commute_pairwise():
     assert [S.order for S in comps] == [60, 60]
     A, B = comps
     assert A != B
-    assert ls.commutator_subgroup(G, A.elements, B.elements).is_trivial
+    assert oracles.commutator_subgroup(G, A.elements, B.elements).is_trivial
     # and each is quasi-simple and subnormal on its own
     for S in comps:
         induced, _ = ls.subgroup_as_group(G, S)

@@ -62,6 +62,10 @@ families, each hashed over all 243 groups in corpus order:
     commutators        [N_i, N_j] from the lattice record, for every
                        unordered pair of normal subgroups of each G with
                        at most 40 of them (i <= j in canonical order)
+    info               cli.group_info(G), the report the `info` verb
+                       prints: among others the orders along the derived
+                       and lower central series and the chief and
+                       composition factor orders
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -115,6 +119,7 @@ FAMILIES = (
     "chief_questions",
     "largeness",
     "commutators",
+    "info",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -322,6 +327,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
             lat = _lattice(G)
             for i, j in itertools.combinations_with_replacement(range(len(normals)), 2):
                 put("commutators", lat.members[lat.commutator(i, j)].elements)
+        put("info", cli.group_info(G))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
