@@ -288,9 +288,11 @@ def builtin_class(key: str) -> ClassPredicate:
     soluble, soluble_derived:d, supersoluble, quasinilpotent,
     pi_separable:p1,p2,..., normal_hall_pi_prime:p1,p2,...
     """
-    name, _, param = key.partition(":")
+    name, colon, param = key.partition(":")
     name = name.strip()
     param = param.strip()
+    if colon and name in ("abelian", "nilpotent", "soluble", "supersoluble", "quasinilpotent"):
+        raise UnknownClass(f"class {name!r} takes no parameter, got {key!r}")
 
     def want_int() -> int:
         if not param:

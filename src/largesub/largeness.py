@@ -27,14 +27,15 @@ Claim selectors (used by the CLI and verify_selector):
               abelian cover inside a central product
 
 Hypothesis handling: every claim records each hypothesis it evaluates as a
-(name, holds) pair in its report.  When one fails the claim returns the
-report without witnesses, which reads as a skip, so a library caller, the
-CLI and a corpus scan all see the same report.  H alone goes on when only
-its residual condition fails, and records its witnesses anyway.  Only
-unusable input raises, before any hypothesis is evaluated: an unknown
-selector or class key, a bound below 2 (BadBound, BadClassBound), a class
-without the closure flags the claim needs (ClosureFlagsMissing) or a bad
-prime set.
+(name, holds) pair in its report, and records witnesses only when every
+hypothesis recorded so far holds; H records its residual condition after
+its witnesses, so they survive when only that condition fails.  The verdict
+(passed, counterexample, outcome) is read off the report, and a failed
+hypothesis reads as a skip, for a library caller, the CLI and a corpus scan
+alike.  Only unusable input raises, before any hypothesis is evaluated: an
+unknown selector or class key, a parameter the claim or class does not
+take, a bound below 2 (BadBound, BadClassBound), a class without the
+closure flags the claim needs (ClosureFlagsMissing) or a bad prime set.
 """
 
 from __future__ import annotations
@@ -110,15 +111,15 @@ class WitnessRecord:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one claim on one group.
+    """Outcome of one claim on one group: its evidence, with the verdict
+    read off it.
 
     hypotheses lists the hypotheses the claim evaluated, in order, as
     (name, holds).  A failed hypothesis is recorded here, never raised, and
-    the report then has no witnesses, except H's when only its residual
-    condition fails.
-    passed means: every hypothesis held and every witness was large.
-    counterexample is set exactly when the hypotheses held but a witness
-    failed; a failed hypothesis reads as a skip (see outcome).
+    no witness is recorded after it.  counterexample is the first witness
+    that is not large, once every hypothesis holds; passed means every
+    hypothesis holds, there is no counterexample and every check holds; a
+    failed hypothesis reads as a skip (see outcome).
     """
 
     theorem: str
@@ -127,12 +128,20 @@ class VerificationReport:
     hypotheses: list[tuple[str, bool]] = field(default_factory=list)
     witnesses: list[WitnessRecord] = field(default_factory=list)
     checks: list[tuple[str, bool]] = field(default_factory=list)
-    passed: bool = False
-    counterexample: WitnessRecord | None = None
 
     @property
     def hypotheses_ok(self) -> bool:
         return all(ok for _, ok in self.hypotheses)
+
+    @property
+    def counterexample(self) -> WitnessRecord | None:
+        bad = (w for w in self.witnesses if not w.is_large)
+        return next(bad, None) if self.hypotheses_ok else None
+
+    @property
+    def passed(self) -> bool:
+        checks_ok = all(ok for _, ok in self.checks)
+        return self.hypotheses_ok and self.counterexample is None and checks_ok
 
     @property
     def outcome(self) -> str:
@@ -176,29 +185,30 @@ def _witness(G: FiniteGroup, S: Subgroup, descriptor: str) -> WitnessRecord:
     )
 
 
+def _report(theorem: str, G: FiniteGroup, *hypotheses: tuple[str, bool]) -> VerificationReport:
+    return VerificationReport(theorem, G.display_name, G.order, list(hypotheses))
+
+
 def _add_maximal_members(
     report: VerificationReport, G: FiniteGroup, X: ClassPredicate, prefix: str
 ) -> None:
     # one witness per maximal normal X-subgroup S, described as prefix + |S|
-    for S in maximal_normal_members(G, X):
-        report.witnesses.append(_witness(G, S, f"{prefix}{S.order}"))
-
-
-def _finish(report: VerificationReport) -> VerificationReport:
     if report.hypotheses_ok:
-        bad = next((w for w in report.witnesses if not w.is_large), None)
-        report.counterexample = bad
-        report.passed = bad is None and all(ok for _, ok in report.checks)
-    else:
-        report.passed = False
-        report.counterexample = None
-    return report
+        for S in maximal_normal_members(G, X):
+            report.witnesses.append(_witness(G, S, f"{prefix}{S.order}"))
 
 
-def _soluble_report(theorem: str, G: FiniteGroup) -> VerificationReport:
-    report = VerificationReport(theorem, G.display_name, G.order)
-    report.hypotheses.append(("soluble", is_soluble(G)))
-    return report
+def _add_radical(report: VerificationReport, G: FiniteGroup, what: str, radical) -> None:
+    # radical(G) is the witnessed radical, computed only when it is recorded
+    if report.hypotheses_ok:
+        found = radical(G)
+        report.witnesses.append(_witness(G, found.subgroup, f"{what} ({found.witness})"))
+
+
+def _require_flags(X: ClassPredicate, lacks: str, *names: str) -> None:
+    missing = [name for name in names if not getattr(X.closed_under, name)]
+    if missing:
+        raise ClosureFlagsMissing(f"class {X.name!r} {lacks}: {', '.join(missing)}")
 
 
 # -- claims about maximal normal class members (A, C) -------------------------
@@ -207,27 +217,17 @@ def _soluble_report(theorem: str, G: FiniteGroup) -> VerificationReport:
 def verify_maximal_member_large(G: FiniteGroup, X: ClassPredicate) -> VerificationReport:
     """Claim A: in a group assembled from X, every maximal normal X-subgroup
     is large.  X must declare all four assembly closure flags."""
-    flags = X.closed_under
-    missing = [
-        name
-        for name, ok in (
-            ("normal_subgroups", flags.normal_subgroups),
-            ("quotients", flags.quotients),
-            ("direct_products", flags.direct_products),
-            ("central_extensions", flags.central_extensions),
-        )
-        if not ok
-    ]
-    if missing:
-        raise ClosureFlagsMissing(
-            f"class {X.name!r} lacks declared closure under: {', '.join(missing)}"
-        )
-    report = VerificationReport("A", G.display_name, G.order)
-    assembled = in_extension_closure(X, G)
-    report.hypotheses.append((f"assembled_from_{X.name}", assembled))
-    if assembled:
-        _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
-    return _finish(report)
+    _require_flags(
+        X,
+        "lacks declared closure under",
+        "normal_subgroups",
+        "quotients",
+        "direct_products",
+        "central_extensions",
+    )
+    report = _report("A", G, (f"assembled_from_{X.name}", in_extension_closure(X, G)))
+    _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
+    return report
 
 
 @cache
@@ -239,27 +239,15 @@ def _abelian_samples() -> tuple[FiniteGroup, ...]:
 def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> VerificationReport:
     """Claim C: like A, but X only needs to be a solubly saturated formation
     closed under normal subgroups and containing the abelian groups."""
-    flags = X.closed_under
-    missing = [
-        name
-        for name, ok in (
-            ("normal_subgroups", flags.normal_subgroups),
-            ("solubly_saturated_formation", flags.solubly_saturated_formation),
-        )
-        if not ok
-    ]
-    if missing:
-        raise ClosureFlagsMissing(
-            f"class {X.name!r} lacks declared flags: {', '.join(missing)}"
-        )
-    report = VerificationReport("C", G.display_name, G.order)
-    report.hypotheses.append(
-        ("contains_abelian_samples", all(X.member(A) for A in _abelian_samples()))
+    _require_flags(X, "lacks declared flags", "normal_subgroups", "solubly_saturated_formation")
+    report = _report(
+        "C",
+        G,
+        ("contains_abelian_samples", all(X.member(A) for A in _abelian_samples())),
+        (f"assembled_from_{X.name}", in_extension_closure(X, G)),
     )
-    report.hypotheses.append((f"assembled_from_{X.name}", in_extension_closure(X, G)))
-    if report.hypotheses_ok:
-        _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
-    return _finish(report)
+    _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
+    return report
 
 
 # -- radical claims (D, E, F) --------------------------------------------------
@@ -267,22 +255,16 @@ def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> Verifica
 
 def verify_fitting_large(G: FiniteGroup) -> VerificationReport:
     """Claim D: the fitting subgroup of a soluble group is large."""
-    report = _soluble_report("D", G)
-    if not report.hypotheses_ok:
-        return _finish(report)
-    fit = fitting_subgroup(G)
-    report.witnesses.append(_witness(G, fit.subgroup, f"fitting subgroup ({fit.witness})"))
-    return _finish(report)
+    report = _report("D", G, ("soluble", is_soluble(G)))
+    _add_radical(report, G, "fitting subgroup", fitting_subgroup)
+    return report
 
 
 def verify_generalized_fitting_large(G: FiniteGroup) -> VerificationReport:
     """Claim E: the generalized fitting subgroup is large, no hypotheses."""
-    report = VerificationReport("E", G.display_name, G.order)
-    gen = generalized_fitting_subgroup(G)
-    report.witnesses.append(
-        _witness(G, gen.subgroup, f"generalized fitting subgroup ({gen.witness})")
-    )
-    return _finish(report)
+    report = _report("E", G)
+    _add_radical(report, G, "generalized fitting subgroup", generalized_fitting_subgroup)
+    return report
 
 
 def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
@@ -290,18 +272,23 @@ def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
 
     The hypothesis is named separable_for_<primes> when it holds and
     pi_separable when it fails."""
-    report = VerificationReport("F", G.display_name, G.order)
     primes = _validate_pi(pi)
-    if not is_pi_separable(G, primes):
-        report.hypotheses.append(("pi_separable", False))
-        return _finish(report)
-    report.hypotheses.append((f"separable_for_{','.join(map(str, primes))}", True))
-    core = pi_prime_pi_core(G, primes)
-    report.witnesses.append(_witness(G, core.subgroup, f"two-step core ({core.witness})"))
-    return _finish(report)
+    separable = is_pi_separable(G, primes)
+    name = f"separable_for_{','.join(map(str, primes))}" if separable else "pi_separable"
+    report = _report("F", G, (name, separable))
+    _add_radical(report, G, "two-step core", lambda G: pi_prime_pi_core(G, primes))
+    return report
 
 
 # -- bounded-complexity claims (G, GD) ----------------------------------------
+
+
+def _bounded_report(theorem: str, G: FiniteGroup, key: str, bound: str) -> VerificationReport:
+    report = _report(theorem, G, ("soluble", is_soluble(G)))
+    _add_maximal_members(
+        report, G, builtin_class(key), f"maximal normal subgroup of {bound}, order "
+    )
+    return report
 
 
 def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationReport:
@@ -309,13 +296,7 @@ def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationRe
     class <= c are large (needs c >= 2)."""
     if c < 2:
         raise BadClassBound(f"the class bound must be at least 2, got {c}")
-    report = _soluble_report("G", G)
-    if report.hypotheses_ok:
-        X = builtin_class(f"nilpotent_class:{c}")
-        _add_maximal_members(
-            report, G, X, f"maximal normal subgroup of nilpotency class <= {c}, order "
-        )
-    return _finish(report)
+    return _bounded_report("G", G, f"nilpotent_class:{c}", f"nilpotency class <= {c}")
 
 
 def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationReport:
@@ -323,13 +304,7 @@ def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationRep
     length <= d are large (needs d >= 2)."""
     if d < 2:
         raise BadBound(f"the derived length bound must be at least 2, got {d}")
-    report = _soluble_report("GD", G)
-    if report.hypotheses_ok:
-        X = builtin_class(f"soluble_derived:{d}")
-        _add_maximal_members(
-            report, G, X, f"maximal normal subgroup of derived length <= {d}, order "
-        )
-    return _finish(report)
+    return _bounded_report("GD", G, f"soluble_derived:{d}", f"derived length <= {d}")
 
 
 # -- maximal abelian claim (H) -------------------------------------------------
@@ -341,16 +316,15 @@ def verify_maximal_abelian_large(G: FiniteGroup) -> VerificationReport:
 
     The witnesses are recorded even when the residual hypothesis fails, so
     scans can look for groups where the conclusion holds anyway."""
-    report = _soluble_report("H", G)
-    if not report.hypotheses_ok:
-        return _finish(report)
-    report.hypotheses.append(
-        ("supersoluble_residual_minimal_or_trivial", has_minimal_supersoluble_residual(G))
-    )
+    report = _report("H", G, ("soluble", is_soluble(G)))
     _add_maximal_members(
         report, G, builtin_class("abelian"), "maximal abelian normal subgroup of order "
     )
-    return _finish(report)
+    if report.hypotheses_ok:
+        report.hypotheses.append(
+            ("supersoluble_residual_minimal_or_trivial", has_minimal_supersoluble_residual(G))
+        )
+    return report
 
 
 # -- constructive central-extension witness (B) --------------------------------
@@ -503,9 +477,11 @@ CLAIMS = {
 def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
     """Parse a claim selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' and
     run it on one group, returning a uniform report."""
-    head, _, param = selector.partition(":")
+    head, colon, param = selector.partition(":")
     head = head.strip().upper()
     param = param.strip()
+    if colon and head in ("D", "E", "H", "B"):
+        raise UnknownClass(f"selector {selector!r}: claim {head} takes no parameter")
     if head == "A":
         return verify_maximal_member_large(G, builtin_class(_need(param, selector)))
     if head == "C":
@@ -546,11 +522,8 @@ def _int_param(text: str, selector: str) -> int:
 
 
 def _cover_witness_report(G: FiniteGroup) -> VerificationReport:
-    report = VerificationReport("B", G.display_name, G.order)
     Z = center(G)
-    report.hypotheses.append(("nontrivial_center", not Z.is_trivial))
-    if Z.is_trivial:
-        return _finish(report)
-    witness = central_cover_witness(G, Z)
-    report.checks.extend(witness.checks)
-    return _finish(report)
+    report = _report("B", G, ("nontrivial_center", not Z.is_trivial))
+    if report.hypotheses_ok:
+        report.checks.extend(central_cover_witness(G, Z).checks)
+    return report

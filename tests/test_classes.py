@@ -322,6 +322,7 @@ def test_extension_closure_needs_declared_flag(s4):
     "key",
     [
         "frobenius",
+        "nilpotent:7",
         "nilpotent_class",
         "nilpotent_class:x",
         "nilpotent_class:0",

@@ -203,7 +203,6 @@ def test_verify_counterexample_exit_code(capsys, tmp_path, monkeypatch):
     report.witnesses.append(
         ls.WitnessRecord("stub subgroup", 1, (0,), False, 1)
     )
-    report.counterexample = report.witnesses[0]
     monkeypatch.setattr(cli, "verify_selector", lambda G, s: report)
     code, out, _ = run(capsys, "verify", "--theorem", "D", "cyclic(2)")
     assert code == 1
@@ -233,10 +232,25 @@ def test_verify_bad_bound_is_input_error(capsys):
     assert "at least 2" in err
 
 
-def test_verify_bad_selector(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "Z", "symmetric(4)")
+_BAD_SELECTORS = {
+    "Z": "unknown claim selector",
+    # a parameter the claim or class does not take is unusable input
+    "A:nilpotent:7": "class 'nilpotent' takes no parameter",
+    "C:supersoluble:x": "class 'supersoluble' takes no parameter",
+    "E:3": "claim E takes no parameter",
+    "H:junk": "claim H takes no parameter",
+    "B:1": "claim B takes no parameter",
+    "A:nilpotent:": "class 'nilpotent' takes no parameter",
+}
+
+
+@pytest.mark.parametrize("selector", list(_BAD_SELECTORS))
+def test_verify_bad_selector(capsys, selector):
+    code, out, err = run(capsys, "verify", "--theorem", selector, "symmetric(3)")
     assert code == 2
-    assert "unknown claim selector" in err
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and _BAD_SELECTORS[selector] in line
 
 
 # -- scan -------------------------------------------------------------------------

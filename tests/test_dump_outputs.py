@@ -36,6 +36,7 @@ def test_dump_families_and_counts():
         "largeness",
         "commutators",
         "info",
+        "cover_reports",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -45,7 +46,8 @@ def test_dump_families_and_counts():
     # malformed ones; lattice_answers, subgroup_series, radicals,
     # memberships and chief_questions: one per group; largeness: one per
     # normal subgroup of G; commutators: one per unordered pair of normal
-    # subgroups of G (3 + 6 + 10); info: one report per group
+    # subgroups of G (3 + 6 + 10); info and cover_reports: one report
+    # per group
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -63,6 +65,7 @@ def test_dump_families_and_counts():
         "largeness": 9,
         "commutators": 19,
         "info": 3,
+        "cover_reports": 3,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.MALFORMED_RECORDS) == 25

@@ -362,7 +362,7 @@ def test_verify_selector_b_skips_centerless(s4):
 
 @pytest.mark.parametrize(
     "selector",
-    ["Q", "G", "GD", "F", "A", "C", "G:x", "F:2,x", "F:4", "A:frobenius"],
+    ["Q", "G", "GD", "F", "A", "C", "G:x", "F:2,x", "F:4", "A:frobenius", "A:nilpotent:7", "E:3"],
 )
 def test_verify_selector_rejects_bad_selectors(s4, selector):
     with pytest.raises(ls.UnknownClass):
@@ -412,11 +412,16 @@ def test_verify_selector_report_is_the_cli_record(a5, selector):
 
 
 def test_report_outcome_logic():
-    report = ls.VerificationReport("X", "g", 1)
-    report.hypotheses.append(("h", False))
-    report.passed = False
-    assert report.outcome == "skip"
-    report2 = ls.VerificationReport("X", "g", 1, passed=True)
-    assert report2.outcome == "pass"
-    report3 = ls.VerificationReport("X", "g", 1)
-    assert report3.outcome == "fail"
+    # the verdict is read off the hypotheses, witnesses and checks
+    large = ls.WitnessRecord("large", 2, (0, 1), True, 2)
+    small = ls.WitnessRecord("small", 1, (0,), False, 2)
+    skipped = ls.VerificationReport("X", "g", 2, [("h", False)], [small])
+    assert (skipped.outcome, skipped.passed, skipped.counterexample) == ("skip", False, None)
+    failed = ls.VerificationReport("X", "g", 2, [("h", True)], [large, small])
+    assert (failed.outcome, failed.passed, failed.counterexample) == ("fail", False, small)
+    checked = ls.VerificationReport("X", "g", 2, [("h", True)], [large], [("c", False)])
+    assert (checked.outcome, checked.passed, checked.counterexample) == ("fail", False, None)
+    report = ls.VerificationReport("X", "g", 2, [("h", True)], [large], [("c", True)])
+    assert (report.outcome, report.passed, report.counterexample) == ("pass", True, None)
+    report.witnesses.append(small)
+    assert (report.outcome, report.passed, report.counterexample) == ("fail", False, small)

@@ -120,6 +120,7 @@ FAMILIES = (
     "largeness",
     "commutators",
     "info",
+    "cover_reports",
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -294,6 +295,13 @@ def _chief_questions(G, normals) -> list:
     ]
 
 
+def _cover_report(G) -> list | dict:
+    try:
+        return ls.verify_selector(G, "B").to_dict()
+    except ls.GroupError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
 def dump(corpus) -> dict[str, tuple[int, str]]:
     """family -> (values hashed, sha256 hex digest)."""
     corpus = list(corpus)
@@ -328,6 +336,7 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
             for i, j in itertools.combinations_with_replacement(range(len(normals)), 2):
                 put("commutators", lat.members[lat.commutator(i, j)].elements)
         put("info", cli.group_info(G))
+        put("cover_reports", _cover_report(G))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
