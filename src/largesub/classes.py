@@ -283,95 +283,78 @@ _ALL_CLOSED = ClosureFlags(
 _BOUNDED_FLAGS = ClosureFlags(normal_subgroups=True, quotients=True, direct_products=True)
 
 
+def _parse_int(text: str, owner: str) -> int:
+    # the integer parameter of the class key or claim selector owner names
+    try:
+        return int(text)
+    except ValueError:
+        raise UnknownClass(f"{owner} needs integer parameters, got {text!r}") from None
+
+
+def _parse_primes(text: str, owner: str) -> tuple[int, ...]:
+    # a comma-separated prime set, sorted, as _validate_pi returns it
+    try:
+        return _validate_pi([_parse_int(p, owner) for p in text.split(",")])
+    except BadArgument as exc:
+        raise UnknownClass(f"{owner}: {exc}") from None
+
+
+def _bounded_class(name: str, bound: int) -> ClassPredicate:
+    """The groups of nilpotency class (name nilpotent_class) or derived
+    length (name soluble_derived) at most bound."""
+    invariant, what = {"nilpotent_class": (nilpotency_class, "nilpotency class"),
+                       "soluble_derived": (derived_length, "derived length")}[name]
+    if bound < 1:
+        raise UnknownClass(f"{what} bound must be >= 1")
+
+    def member(G) -> bool:
+        k = invariant(G)  # None: not nilpotent, or not soluble
+        return k is not None and k <= bound
+
+    return ClassPredicate(f"{name}:{bound}", member, _BOUNDED_FLAGS, _abelian_simple)
+
+
+def _pi_class(name: str, primes: tuple[int, ...]) -> ClassPredicate:
+    # pi_separable or normal_hall_pi_prime for the primes
+    rule = is_pi_separable if name == "pi_separable" else has_normal_hall_pi_prime
+    label = f"{name}:{','.join(map(str, primes))}"
+    return ClassPredicate(label, lambda G: rule(G, primes), _ALL_CLOSED, _pi_or_pi_prime(primes))
+
+
+# each advertised class key -> its class; for a key with a parameter (its
+# placeholder after ':'), the parameter's parser and the function that
+# makes the class from the key's name and the parsed parameter
+_CLASS_TABLE = {
+    "abelian": ClassPredicate("abelian", is_abelian, _BOUNDED_FLAGS, _abelian_simple),
+    "nilpotent": ClassPredicate("nilpotent", is_nilpotent, _ALL_CLOSED, _abelian_simple),
+    "nilpotent_class:c": (_parse_int, _bounded_class),
+    "soluble": ClassPredicate("soluble", is_soluble, _ALL_CLOSED, _abelian_simple),
+    "soluble_derived:d": (_parse_int, _bounded_class),
+    "supersoluble": ClassPredicate(
+        "supersoluble", is_supersoluble, replace(_ALL_CLOSED, fitting_class=False), _abelian_simple
+    ),
+    "quasinilpotent": ClassPredicate(
+        "quasinilpotent", is_quasinilpotent, _ALL_CLOSED, _any_simple
+    ),
+    "pi_separable:p1,p2,...": (_parse_primes, _pi_class),
+    "normal_hall_pi_prime:p1,p2,...": (_parse_primes, _pi_class),
+}
+BUILTIN_CLASS_KEYS = tuple(_CLASS_TABLE)
+_CLASSES = {key.partition(":")[0]: entry for key, entry in _CLASS_TABLE.items()}
+
+
 def builtin_class(key: str) -> ClassPredicate:
-    """Resolve a stable class key: abelian, nilpotent, nilpotent_class:c,
-    soluble, soluble_derived:d, supersoluble, quasinilpotent,
-    pi_separable:p1,p2,..., normal_hall_pi_prime:p1,p2,...
-    """
-    name, colon, param = key.partition(":")
-    name = name.strip()
-    param = param.strip()
-    if colon and name in ("abelian", "nilpotent", "soluble", "supersoluble", "quasinilpotent"):
-        raise UnknownClass(f"class {name!r} takes no parameter, got {key!r}")
-
-    def want_int() -> int:
-        if not param:
-            raise UnknownClass(f"class {name!r} needs an integer parameter")
-        try:
-            return int(param)
-        except ValueError:
-            raise UnknownClass(f"bad parameter {param!r} for class {name!r}")
-
-    def want_pi() -> tuple[int, ...]:
-        if not param:
-            raise UnknownClass(f"class {name!r} needs a prime list parameter")
-        try:
-            return _validate_pi(int(p) for p in param.split(","))
-        except ValueError as exc:
-            raise UnknownClass(f"bad prime set {param!r} for class {name!r}: {exc}")
-
-    if name == "abelian":
-        return ClassPredicate("abelian", is_abelian, _BOUNDED_FLAGS, _abelian_simple)
-    if name == "nilpotent":
-        return ClassPredicate("nilpotent", is_nilpotent, _ALL_CLOSED, _abelian_simple)
-    if name == "nilpotent_class":
-        c = want_int()
-        if c < 1:
-            raise UnknownClass("nilpotency class bound must be >= 1")
-        return ClassPredicate(
-            f"nilpotent_class:{c}",
-            lambda G, c=c: (lambda k: k is not None and k <= c)(nilpotency_class(G)),
-            _BOUNDED_FLAGS,
-            _abelian_simple,
-        )
-    if name == "soluble":
-        return ClassPredicate("soluble", is_soluble, _ALL_CLOSED, _abelian_simple)
-    if name == "soluble_derived":
-        d = want_int()
-        if d < 1:
-            raise UnknownClass("derived length bound must be >= 1")
-        return ClassPredicate(
-            f"soluble_derived:{d}",
-            lambda G, d=d: (lambda k: k is not None and k <= d)(derived_length(G)),
-            _BOUNDED_FLAGS,
-            _abelian_simple,
-        )
-    if name == "supersoluble":
-        return ClassPredicate(
-            "supersoluble",
-            is_supersoluble,
-            replace(_ALL_CLOSED, fitting_class=False),
-            _abelian_simple,
-        )
-    if name == "quasinilpotent":
-        return ClassPredicate("quasinilpotent", is_quasinilpotent, _ALL_CLOSED, _any_simple)
-    if name == "pi_separable":
-        primes = want_pi()
-        return ClassPredicate(
-            f"pi_separable:{','.join(map(str, primes))}",
-            lambda G, primes=primes: is_pi_separable(G, primes),
-            _ALL_CLOSED,
-            _pi_or_pi_prime(primes),
-        )
-    if name == "normal_hall_pi_prime":
-        primes = want_pi()
-        return ClassPredicate(
-            f"normal_hall_pi_prime:{','.join(map(str, primes))}",
-            lambda G, primes=primes: has_normal_hall_pi_prime(G, primes),
-            _ALL_CLOSED,
-            _pi_or_pi_prime(primes),
-        )
-    raise UnknownClass(f"unknown class key {key!r}")
-
-
-BUILTIN_CLASS_KEYS = (
-    "abelian",
-    "nilpotent",
-    "nilpotent_class:c",
-    "soluble",
-    "soluble_derived:d",
-    "supersoluble",
-    "quasinilpotent",
-    "pi_separable:p1,p2,...",
-    "normal_hall_pi_prime:p1,p2,...",
-)
+    """Resolve a stable class key, one of BUILTIN_CLASS_KEYS with its
+    placeholder filled in: abelian, nilpotent_class:2, pi_separable:2,3..."""
+    name, colon, param = (part.strip() for part in key.partition(":"))
+    entry = _CLASSES.get(name)
+    if entry is None:
+        raise UnknownClass(f"unknown class key {key!r}")
+    if isinstance(entry, ClassPredicate):
+        if colon:
+            raise UnknownClass(f"class {name!r} takes no parameter, got {key!r}")
+        return entry
+    if not param:
+        raise UnknownClass(f"class key {key!r} needs a parameter after ':'")
+    parse, build = entry
+    return build(name, parse(param, f"class key {key!r}"))

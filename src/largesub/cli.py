@@ -17,6 +17,11 @@ the canonical basis isomorphism and fails when the centers are not
 isomorphic.  TARGET is a group expression, or the path of a corpus file
 (line-delimited JSON; see the corpus module).
 
+verify reads which claim takes which parameter off largeness._CLAIM_TABLE:
+--theorem gives a selector such as G:2, or a bare claim head whose
+parameter comes from the flag _PARAM_FLAGS names for that parameter (G
+--c 2).  A flag the selector does not read is unusable input.
+
 Exit codes: 0 all pass or skip, 1 a verification counterexample or an
 invalid corpus record, 2 unusable input (parse errors, unknown names,
 malformed corpora).
@@ -52,7 +57,7 @@ from .groups import (
     direct_product,
     subgroup_as_group,
 )
-from .largeness import CLAIMS, VerificationReport, scan_exceptional, verify_selector
+from .largeness import CLAIMS, VerificationReport, _CLAIM_TABLE, scan_exceptional, verify_selector
 from .radicals import (
     fitting_subgroup,
     generalized_fitting_subgroup,
@@ -223,27 +228,32 @@ def cmd_info(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
+# claim parameter name (see largeness._CLAIM_TABLE) -> the verify flag that
+# spells it and its help, filled in with the claims reading it.  The value
+# is parsed with the selector, so a bad --c reads like a bad G:c.
+_PARAM_FLAGS = {
+    "classkey": ("--class-key", "class key for {}, e.g. nilpotent"),
+    "primes": ("--pi", "comma-separated primes for {}, e.g. 2,3"),
+    "c": ("--c", "nilpotency class bound for {}"),
+    "d": ("--d", "derived length bound for {}"),
+}
+
+
 def _selector_from_args(args) -> str:
+    """The selector --theorem names; a bare head that takes a parameter reads
+    it from that parameter's flag.  A flag the selector does not read is
+    unusable input."""
     selector = args.theorem.strip()
-    if ":" in selector:
-        return selector
-    head = selector.upper()
-    if head in ("A", "C"):
-        if not args.class_key:
-            raise UnknownClass(f"claim {head} needs --class-key")
-        return f"{head}:{args.class_key}"
-    if head == "F":
-        if not args.pi:
-            raise UnknownClass("claim F needs --pi, e.g. --pi 2,3")
-        return f"F:{args.pi}"
-    if head == "G":
-        if args.c is None:
-            raise UnknownClass("claim G needs --c")
-        return f"G:{args.c}"
-    if head == "GD":
-        if args.d is None:
-            raise UnknownClass("claim GD needs --d")
-        return f"GD:{args.d}"
+    head = selector if ":" in selector else selector.upper()
+    param = _CLAIM_TABLE.get(head, (None,))[0]
+    for name, (flag, _) in _PARAM_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if name != param and value is not None:
+            raise UnknownClass(f"selector {selector!r} does not read {flag}")
+        if name == param:
+            if value in (None, ""):
+                raise UnknownClass(f"claim {head} needs {flag}")
+            head = f"{head}:{value}"
     return head
 
 
@@ -411,12 +421,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--claim",
         dest="theorem",
         required=True,
-        help="claim selector: A:classkey, C:classkey, D, E, F:primes, G:c, GD:d, H, B",
+        help="claim selector: "
+        + ", ".join(f"{h}:{param}" if param else h for h, (param, *_) in _CLAIM_TABLE.items()),
     )
-    p.add_argument("--class-key", help="class key for claims A and C, e.g. nilpotent")
-    p.add_argument("--pi", help="comma-separated primes for claim F, e.g. 2,3")
-    p.add_argument("--c", type=int, help="nilpotency class bound for claim G")
-    p.add_argument("--d", type=int, help="derived length bound for claim GD")
+    for name, (flag, text) in _PARAM_FLAGS.items():
+        heads = [head for head, (param, *_) in _CLAIM_TABLE.items() if param == name]
+        readers = ("claims " if len(heads) > 1 else "claim ") + " and ".join(heads)
+        p.add_argument(flag, help=text.format(readers))
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

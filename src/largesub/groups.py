@@ -41,9 +41,11 @@ ORDER_CAP_ENV = "LARGESUB_ORDER_CAP"
 
 def order_cap(override: int | None = None) -> int:
     """The active order cap: explicit override, else the environment
-    variable LARGESUB_ORDER_CAP, else 2000.  A variable that is set but
-    not an integer raises BadArgument."""
+    variable LARGESUB_ORDER_CAP, else 2000.  An override or a variable that
+    is set but not an integer raises BadArgument."""
     if override is not None:
+        if not _is_integer(override):
+            raise BadArgument(f"order cap {override!r} is not an integer")
         return int(override)
     env = os.environ.get(ORDER_CAP_ENV)
     if not env:

@@ -5,26 +5,12 @@ This module checks that property for the subgroups various structural
 claims say must have it, over single groups or whole corpora, and reports
 results in a uniform structured form.
 
-Claim selectors (used by the CLI and verify_selector):
-
-  A:classkey  in a group assembled from class X (all composition factors in
-              X, with X closed under normal subgroups, quotients, direct
-              products and central extensions), every maximal normal
-              X-subgroup is large
-  C:classkey  same conclusion, with X a solubly saturated formation closed
-              under normal subgroups and containing the abelian groups
-  D           the fitting subgroup of a soluble group is large
-  E           the generalized fitting subgroup of any group is large
-  F:p1,p2     the two-step core (pi' then pi) of a pi-separable group is large
-  G:c         in a soluble group, every maximal normal subgroup of
-              nilpotency class <= c is large (c >= 2)
-  GD:d        in a soluble group, every maximal normal subgroup of derived
-              length <= d is large (d >= 2)
-  H           in a soluble group whose supersoluble residual is trivial or
-              minimal normal, every maximal abelian normal subgroup is large
-  B           constructive central-extension witness: a chosen central
-              subgroup is identified with the frattini subgroup of an
-              abelian cover inside a central product
+Claim selectors (used by the CLI and verify_selector) are read off
+_CLAIM_TABLE: a claim head, such as E, or a head and its parameter after
+':', such as A:nilpotent (a class key, see classes.BUILTIN_CLASS_KEYS),
+F:2,3 (a prime set), G:2 or GD:2 (a bound).  For each head the table gives
+the name of the parameter it takes, if any, that parameter's parser, the
+claim's function and its line in CLAIMS; each claim's function states it.
 
 Hypothesis handling: every claim records each hypothesis it evaluates as a
 (name, holds) pair in its report, and records witnesses only when every
@@ -47,6 +33,9 @@ from functools import cache
 from .catalog import klein_four_group
 from .classes import (
     ClassPredicate,
+    _bounded_class,
+    _parse_int,
+    _parse_primes,
     _validate_pi,
     builtin_class,
     has_minimal_supersoluble_residual,
@@ -268,7 +257,7 @@ def verify_generalized_fitting_large(G: FiniteGroup) -> VerificationReport:
 
 
 def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
-    """Claim F: the two-step core of a pi-separable group is large.
+    """Claim F: the two-step core (pi' then pi) of a pi-separable group is large.
 
     The hypothesis is named separable_for_<primes> when it holds and
     pi_separable when it fails."""
@@ -283,11 +272,10 @@ def verify_two_step_core_large(G: FiniteGroup, pi) -> VerificationReport:
 # -- bounded-complexity claims (G, GD) ----------------------------------------
 
 
-def _bounded_report(theorem: str, G: FiniteGroup, key: str, bound: str) -> VerificationReport:
+def _bounded_report(theorem: str, G: FiniteGroup, X, bound: str) -> VerificationReport:
+    # X is the bounded class, bound the bound in words
     report = _report(theorem, G, ("soluble", is_soluble(G)))
-    _add_maximal_members(
-        report, G, builtin_class(key), f"maximal normal subgroup of {bound}, order "
-    )
+    _add_maximal_members(report, G, X, f"maximal normal subgroup of {bound}, order ")
     return report
 
 
@@ -296,7 +284,8 @@ def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationRe
     class <= c are large (needs c >= 2)."""
     if c < 2:
         raise BadClassBound(f"the class bound must be at least 2, got {c}")
-    return _bounded_report("G", G, f"nilpotent_class:{c}", f"nilpotency class <= {c}")
+    X = _bounded_class("nilpotent_class", c)
+    return _bounded_report("G", G, X, f"nilpotency class <= {c}")
 
 
 def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationReport:
@@ -304,7 +293,8 @@ def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationRep
     length <= d are large (needs d >= 2)."""
     if d < 2:
         raise BadBound(f"the derived length bound must be at least 2, got {d}")
-    return _bounded_report("GD", G, f"soluble_derived:{d}", f"derived length <= {d}")
+    X = _bounded_class("soluble_derived", d)
+    return _bounded_report("GD", G, X, f"derived length <= {d}")
 
 
 # -- maximal abelian claim (H) -------------------------------------------------
@@ -461,69 +451,60 @@ def scan_exceptional(corpus) -> list[ScanRecord]:
 # -- selector dispatch ------------------------------------------------------------
 
 
-CLAIMS = {
-    "A": "maximal normal members of a fully closure-flagged class are large in groups assembled from the class",
-    "C": "maximal normal members of a solubly saturated formation (containing the abelian groups) are large in groups assembled from it",
-    "D": "the fitting subgroup of a soluble group is large",
-    "E": "the generalized fitting subgroup is large in every group",
-    "F": "the two-step core of a pi-separable group is large",
-    "G": "maximal normal subgroups of bounded nilpotency class are large in soluble groups",
-    "GD": "maximal normal subgroups of bounded derived length are large in soluble groups",
-    "H": "maximal abelian normal subgroups are large in soluble groups with minimal-or-trivial supersoluble residual",
-    "B": "central subgroups embed as the frattini subgroup of an abelian cover inside a central product",
-}
-
-
-def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
-    """Parse a claim selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' and
-    run it on one group, returning a uniform report."""
-    head, colon, param = selector.partition(":")
-    head = head.strip().upper()
-    param = param.strip()
-    if colon and head in ("D", "E", "H", "B"):
-        raise UnknownClass(f"selector {selector!r}: claim {head} takes no parameter")
-    if head == "A":
-        return verify_maximal_member_large(G, builtin_class(_need(param, selector)))
-    if head == "C":
-        return verify_formation_member_large(G, builtin_class(_need(param, selector)))
-    if head == "D":
-        return verify_fitting_large(G)
-    if head == "E":
-        return verify_generalized_fitting_large(G)
-    if head == "F":
-        pi = tuple(_int_param(p, selector) for p in _need(param, selector).split(","))
-        try:
-            _validate_pi(pi)
-        except ValueError as exc:
-            raise UnknownClass(f"selector {selector!r}: {exc}")
-        return verify_two_step_core_large(G, pi)
-    if head == "G":
-        return verify_nilpotent_class_bound_large(G, _int_param(_need(param, selector), selector))
-    if head == "GD":
-        return verify_derived_length_bound_large(G, _int_param(_need(param, selector), selector))
-    if head == "H":
-        return verify_maximal_abelian_large(G)
-    if head == "B":
-        return _cover_witness_report(G)
-    raise UnknownClass(f"unknown claim selector {selector!r}")
-
-
-def _need(param: str, selector: str) -> str:
-    if not param:
-        raise UnknownClass(f"selector {selector!r} needs a parameter after ':'")
-    return param
-
-
-def _int_param(text: str, selector: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UnknownClass(f"selector {selector!r} needs integer parameters, got {text!r}")
-
-
 def _cover_witness_report(G: FiniteGroup) -> VerificationReport:
+    """Claim B: central_cover_witness certifies the center of G, if nontrivial."""
     Z = center(G)
     report = _report("B", G, ("nontrivial_center", not Z.is_trivial))
     if report.hypotheses_ok:
         report.checks.extend(central_cover_witness(G, Z).checks)
     return report
+
+
+def _parse_class(key: str, owner: str) -> ClassPredicate:
+    # the class key of A and C; builtin_class names the key in its errors
+    return builtin_class(key)
+
+
+# claim head -> (name of its parameter, or None; the parameter's parser; the
+# claim; what it says).  The CLI spells each parameter name as one flag.
+_CLAIM_TABLE = {
+    "A": ("classkey", _parse_class, verify_maximal_member_large,
+          "maximal normal members of a fully closure-flagged class are large in groups"
+          " assembled from the class"),
+    "C": ("classkey", _parse_class, verify_formation_member_large,
+          "maximal normal members of a solubly saturated formation (containing the abelian"
+          " groups) are large in groups assembled from it"),
+    "D": (None, None, verify_fitting_large, "the fitting subgroup of a soluble group is large"),
+    "E": (None, None, verify_generalized_fitting_large,
+          "the generalized fitting subgroup is large in every group"),
+    "F": ("primes", _parse_primes, verify_two_step_core_large,
+          "the two-step core of a pi-separable group is large"),
+    "G": ("c", _parse_int, verify_nilpotent_class_bound_large,
+          "maximal normal subgroups of bounded nilpotency class are large in soluble groups"),
+    "GD": ("d", _parse_int, verify_derived_length_bound_large,
+           "maximal normal subgroups of bounded derived length are large in soluble groups"),
+    "H": (None, None, verify_maximal_abelian_large,
+          "maximal abelian normal subgroups are large in soluble groups with minimal-or-trivial"
+          " supersoluble residual"),
+    "B": (None, None, _cover_witness_report,
+          "central subgroups embed as the frattini subgroup of an abelian cover inside a"
+          " central product"),
+}
+CLAIMS = {head: text for head, (_, _, _, text) in _CLAIM_TABLE.items()}
+
+
+def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
+    """Parse a claim selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' and
+    run it on one group, returning a uniform report."""
+    head, colon, param = (part.strip() for part in selector.partition(":"))
+    head = head.upper()
+    if head not in _CLAIM_TABLE:
+        raise UnknownClass(f"unknown claim selector {selector!r}")
+    _, parse, claim, _ = _CLAIM_TABLE[head]
+    if parse is None:
+        if colon:
+            raise UnknownClass(f"selector {selector!r}: claim {head} takes no parameter")
+        return claim(G)
+    if not param:
+        raise UnknownClass(f"selector {selector!r} needs a parameter after ':'")
+    return claim(G, parse(param, f"selector {selector!r}"))

@@ -253,6 +253,77 @@ def test_verify_bad_selector(capsys, selector):
     assert line.startswith("error:") and _BAD_SELECTORS[selector] in line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theorem", "E", "--pi", "2,3", "--class-key", "junk"],
+        ["--theorem", "G:2", "--c", "3"],
+        ["--theorem", "A:nilpotent", "--class-key", "soluble"],
+        ["--theorem", "D", "--c", "5"],
+        ["--theorem", "F", "--pi", "2", "--d", "2"],
+    ],
+)
+def test_verify_flag_the_selector_does_not_read(capsys, argv):
+    # each of these once ran the selector and ignored the flag
+    code, out, err = run(capsys, "verify", *argv, "symmetric(4)")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "does not read --" in line
+
+
+# each flag spelling and the compact selector it stands for
+_FLAG_SPELLINGS = {
+    "A:nilpotent": ["--theorem", "A", "--class-key", "nilpotent"],
+    "C:nilpotent": ["--theorem", "C", "--class-key", "nilpotent"],
+    "F:2,3": ["--theorem", "F", "--pi", "2,3"],
+    "G:2": ["--theorem", "G", "--c", "2"],
+    "GD:2": ["--theorem", "GD", "--d", "2"],
+}
+
+
+def test_flag_spellings_print_what_their_selectors_print(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "eight.jsonl"
+    write_corpus(
+        path,
+        [
+            ls.cyclic_group(6),
+            ls.klein_four_group(),
+            ls.symmetric_group(3),
+            ls.quaternion_group(),
+            ls.symmetric_group(4),
+            ls.special_linear_2_3(),
+            ls.alternating_group(5),
+            ls.direct_product(ls.alternating_group(4), ls.cyclic_group(2)),
+        ],
+    )
+    for selector, flags in _FLAG_SPELLINGS.items():
+        compact = run(capsys, "verify", "--theorem", selector, str(path), "--format", "jsonl")
+        spelled = run(capsys, "verify", *flags, str(path), "--format", "jsonl")
+        assert spelled == compact
+        assert compact[0] == 0 and len(jsonl(compact[1])) == 9
+    # the selector grammar and the class keys are read off tables, in order
+    assert list(ls.CLAIMS) == ["A", "C", "D", "E", "F", "G", "GD", "H", "B"]
+    assert ls.BUILTIN_CLASS_KEYS == (
+        "abelian",
+        "nilpotent",
+        "nilpotent_class:c",
+        "soluble",
+        "soluble_derived:d",
+        "supersoluble",
+        "quasinilpotent",
+        "pi_separable:p1,p2,...",
+        "normal_hall_pi_prime:p1,p2,...",
+    )
+    monkeypatch.setenv("COLUMNS", "400")  # one help entry per line
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert "claim selector: A:classkey, C:classkey, D, E, F:primes, G:c, GD:d, H, B\n" in help_text
+    assert "class key for claims A and C, e.g. nilpotent\n" in help_text
+    assert "nilpotency class bound for claim G\n" in help_text
+
+
 # -- scan -------------------------------------------------------------------------
 
 
@@ -476,6 +547,14 @@ _SELECTOR = st.one_of(
     st.builds(lambda h, k: ["--theorem", f"{h}:{k}"], st.sampled_from(["G", "GD"]), _INT),
     st.builds(lambda k: ["--theorem", "G", "--c", str(k)], _INT),
     st.builds(lambda k: ["--theorem", "GD", "--d", str(k)], _INT),
+    # a compact selector reads no flag, so any flag beside it is unusable input
+    st.builds(
+        lambda sel, flag: ["--theorem", sel, *flag],
+        st.sampled_from(["B:", "E:3", "A:nilpotent", "C:bogus", "F:2,3", "G:2", "GD:x", "Z:1"]),
+        st.sampled_from(
+            [["--class-key", "nilpotent"], ["--pi", "2,3"], ["--c", "2"], ["--d", "3"]]
+        ),
+    ),
 )
 
 
@@ -484,10 +563,13 @@ _SELECTOR = st.one_of(
 )
 @given(expr=_SMALL_EXPR, selector=_SELECTOR)
 @example(expr="cyclic(2)", selector=["--theorem", f"F:{10**18 + 3}"])  # was minutes of trial division
+@example(expr="symmetric(4)", selector=["--theorem", "G:2", "--c", "3"])
 def test_verify_selectors_keep_exit_code_contract(capsys, expr, selector):
     code, err = _exit_code(capsys, ["verify", *selector, expr])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if ":" in selector[1] and len(selector) > 2:
+        assert code == 2 and len(err.splitlines()) == 1
 
 
 _ODD = st.one_of(

@@ -37,6 +37,7 @@ def test_dump_families_and_counts():
         "commutators",
         "info",
         "cover_reports",
+        "flag_reports",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -47,7 +48,7 @@ def test_dump_families_and_counts():
     # memberships and chief_questions: one per group; largeness: one per
     # normal subgroup of G; commutators: one per unordered pair of normal
     # subgroups of G (3 + 6 + 10); info and cover_reports: one report
-    # per group
+    # per group; flag_reports: one CLI run per flag spelling
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -66,8 +67,11 @@ def test_dump_families_and_counts():
         "commutators": 19,
         "info": 3,
         "cover_reports": 3,
+        "flag_reports": len(tool.FLAG_SPELLINGS),
     }
     assert len(tool.SELECTORS) == 12
+    assert len(tool.FLAG_SPELLINGS) == 5
+    assert len(result) == 18
     assert len(tool.MALFORMED_RECORDS) == 25
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

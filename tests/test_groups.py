@@ -420,6 +420,17 @@ def test_order_cap_env_not_an_integer(monkeypatch, value):
     assert ls.order_cap(25) == 25
 
 
+@pytest.mark.parametrize("value", ["abc", 2.5, True])
+def test_order_cap_override_not_an_integer(value):
+    # refused like the variable, not truncated (2.5 was a cap of 2, True of 1)
+    with pytest.raises(ls.BadArgument, match=f"order cap {value!r} is not an integer"):
+        ls.order_cap(value)
+    with pytest.raises(ls.BadArgument):
+        ls.cyclic_group(3, cap=value)
+    assert ls.order_cap(np.int64(60)) == 60
+    assert ls.cyclic_group(5, cap=np.int64(60)).order == 5
+
+
 def test_direct_product_structure():
     G = ls.direct_product(ls.cyclic_group(2), ls.cyclic_group(3))
     assert G.order == 6

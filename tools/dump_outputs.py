@@ -8,7 +8,7 @@ the checkout's own src/ on the path:
 Two trees compute the same outputs when this prints the same lines for
 both; to compare a change with its parent, run it in each (for example in a
 `git archive` of the parent, with this file copied into its tools/).  The
-families, each hashed over all 243 groups in corpus order:
+eighteen families, each hashed over all 243 groups in corpus order:
 
     tables             order, table bytes, labels and display_name of G
                        (element order included, since indices follow it)
@@ -27,6 +27,10 @@ families, each hashed over all 243 groups in corpus order:
                        benchmark plus H, C:supersoluble, A:quasinilpotent,
                        C:quasinilpotent, A:pi_separable:2,3 and
                        A:normal_hall_pi_prime:2
+    flag_reports       the same over the same file for each of
+                       FLAG_SPELLINGS, the selectors A:nilpotent,
+                       C:nilpotent, F:2,3, G:2 and GD:2 spelled as a bare
+                       claim head and its parameter flag
     ingest             one JSONL table record per group, its elements
                        renamed a -> a+1 mod n so the identity sits at 1
                        (for n > 1), then the fixed MALFORMED_RECORDS; each
@@ -66,6 +70,8 @@ families, each hashed over all 243 groups in corpus order:
                        prints: among others the orders along the derived
                        and lower central series and the chief and
                        composition factor orders
+    cover_reports      the report of claim B (verify_selector(G, "B")),
+                       or the class and message of the error it raises
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -121,6 +127,14 @@ FAMILIES = (
     "commutators",
     "info",
     "cover_reports",
+    "flag_reports",
+)
+FLAG_SPELLINGS = (
+    ("--theorem", "A", "--class-key", "nilpotent"),
+    ("--theorem", "C", "--class-key", "nilpotent"),
+    ("--theorem", "F", "--pi", "2,3"),
+    ("--theorem", "G", "--c", "2"),
+    ("--theorem", "GD", "--d", "2"),
 )
 RADICAL_CLASSES = (
     "nilpotent",
@@ -210,11 +224,13 @@ def _chain(series) -> list:
     return [[S.elements for S in series.chain], list(series.factor_orders)]
 
 
-def _verify(path: Path, selector: str) -> list:
+def _verify(path: Path, *spelling: str) -> list:
+    # a selector, or the arguments that spell one
     out = io.StringIO()
+    argv = ["--claim", *spelling] if len(spelling) == 1 else list(spelling)
     with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "--claim", selector, str(path), "--format", "jsonl"])
-    return [selector, code, out.getvalue()]
+        code = cli.main(["verify", *argv, str(path), "--format", "jsonl"])
+    return [" ".join(spelling), code, out.getvalue()]
 
 
 def _moved_record(G) -> str:
@@ -342,6 +358,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
         ls.write_corpus(path, corpus)
         for selector in SELECTORS:
             put("reports", _verify(path, selector))
+        for spelling in FLAG_SPELLINGS:
+            put("flag_reports", _verify(path, *spelling))
     for line in [*map(_moved_record, corpus), *MALFORMED_RECORDS]:
         put("ingest", _ingest(line))
     return {family: (counts[family], digests[family].hexdigest()) for family in FAMILIES}
