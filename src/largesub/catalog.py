@@ -1,9 +1,14 @@
-"""Named small groups, built from scratch.
+"""Named small groups, built from scratch, and the group expressions
+that name them.
 
 Keys follow the spelling used on the command line: trivial, klein_four,
 cyclic(n), dihedral(k) with k the group order (even), quaternion(8),
 symmetric(n) and alternating(n) for n <= 6, and sl(2,3) as explicit 2x2
-matrices over the field with three elements.
+matrices over the field with three elements.  The combinators direct(a,b)
+and central(a,b) take group expressions; central(a,b) glues the full
+centers of a and b along the canonical basis isomorphism.  Each family is
+one row of _FAMILIES, which gives its argument kinds, its builder and its
+spelling in CATALOG_KEYS; named_group evaluates any expression off it.
 """
 
 from __future__ import annotations
@@ -16,10 +21,14 @@ from .errors import UnknownName
 from .groups import (
     FiniteGroup,
     _check_cap,
+    abelian_isomorphism,
+    central_product_with_embeddings,
     cyclic_group,
     direct_product,
     from_permutation_generators,
+    subgroup_as_group,
 )
+from .structure import center
 
 
 def trivial_group(*, cap=None) -> FiniteGroup:
@@ -132,59 +141,93 @@ def special_linear_2_3(*, cap=None) -> FiniteGroup:
     return G
 
 
-_NAME_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\))?\s*$")
+def _special_linear(n: int, q: int, *, cap=None) -> FiniteGroup:
+    if (n, q) != (2, 3):
+        raise UnknownName("only sl(2,3) is built in")
+    return special_linear_2_3(cap=cap)
 
 
-def named_group(key: str, *, cap=None) -> FiniteGroup:
-    """Resolve a catalog key such as 'cyclic(6)', 'sl(2,3)' or 'klein_four'."""
-    m = _NAME_RE.match(key)
-    if not m:
-        raise UnknownName(f"cannot parse group name {key!r}")
-    base = m.group(1)
-    args = tuple(int(a) for a in m.group(2).split(",")) if m.group(2) else ()
-    return _dispatch(base, args, cap)
+def _central_of_centers(A: FiniteGroup, B: FiniteGroup, *, cap=None) -> FiniteGroup:
+    """The central product gluing the full centers of A and B along the
+    canonical basis isomorphism (NotIsomorphism when they differ)."""
+    Ag, back_a = subgroup_as_group(A, center(A))
+    Bg, back_b = subgroup_as_group(B, center(B))
+    iso = abelian_isomorphism(Ag, Bg)
+    pairing = {back_a[a]: back_b[b] for a, b in iso.items()}
+    name = None
+    if A.name and B.name:
+        name = f"central({A.name},{B.name})"
+    return central_product_with_embeddings(A, B, pairing, name=name, cap=cap)[0]
 
 
-def _dispatch(base: str, args: tuple[int, ...], cap) -> FiniteGroup:
-    def arity(k):
-        if len(args) != k:
-            raise UnknownName(f"{base} takes {k} argument(s), got {len(args)}")
+# family -> (argument kinds, builder, spelling in CATALOG_KEYS or None): kind
+# "n" is an integer and "g" a group expression; the builder takes the
+# arguments in order and the cap
+_FAMILIES = {
+    "trivial": ("", trivial_group, "trivial"),
+    "klein_four": ("", klein_four_group, "klein_four"),
+    "cyclic": ("n", cyclic_group, "cyclic(n)"),
+    "dihedral": ("n", dihedral_group, "dihedral(order)"),
+    "quaternion": ("n", quaternion_group, "quaternion(8)"),
+    "symmetric": ("n", symmetric_group, "symmetric(n<=6)"),
+    "alternating": ("n", alternating_group, "alternating(n<=6)"),
+    "sl": ("nn", _special_linear, "sl(2,3)"),
+    "direct": ("gg", direct_product, None),
+    "central": ("gg", _central_of_centers, None),
+}
+CATALOG_KEYS = tuple(key for _, _, key in _FAMILIES.values() if key)
 
-    if base == "trivial":
-        arity(0)
-        return trivial_group(cap=cap)
-    if base == "klein_four":
-        arity(0)
-        return klein_four_group(cap=cap)
-    if base == "cyclic":
-        arity(1)
-        return cyclic_group(args[0], cap=cap)
-    if base == "dihedral":
-        arity(1)
-        return dihedral_group(args[0], cap=cap)
-    if base == "quaternion":
-        arity(1)
-        return quaternion_group(args[0], cap=cap)
-    if base == "symmetric":
-        arity(1)
-        return symmetric_group(args[0], cap=cap)
-    if base == "alternating":
-        arity(1)
-        return alternating_group(args[0], cap=cap)
-    if base == "sl":
-        if args != (2, 3):
-            raise UnknownName("only sl(2,3) is built in")
-        return special_linear_2_3(cap=cap)
-    raise UnknownName(f"unknown group name {base!r}")
+_HEAD_RE = re.compile(r"([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?", re.DOTALL)
 
 
-CATALOG_KEYS = (
-    "trivial",
-    "klein_four",
-    "cyclic(n)",
-    "dihedral(order)",
-    "quaternion(8)",
-    "symmetric(n<=6)",
-    "alternating(n<=6)",
-    "sl(2,3)",
-)
+def named_group(text: str, *, cap=None) -> FiniteGroup:
+    """Evaluate a group expression: a catalog key such as 'cyclic(6)',
+    'sl(2,3)' or 'klein_four', or direct(a,b) or central(a,b) of group
+    expressions, nested freely up to the interpreter's recursion limit;
+    deeper nesting is refused as UnknownName.  The cap reaches every part
+    of the build."""
+    try:
+        return _evaluate(text, cap)
+    except RecursionError:
+        raise UnknownName("group expression nested too deeply") from None
+
+
+def _evaluate(text: str, cap) -> FiniteGroup:
+    text = text.strip()
+    m = _HEAD_RE.fullmatch(text)
+    if m is None:
+        raise UnknownName(f"cannot parse group name {text!r}")
+    head, body = m.groups()
+    if head not in _FAMILIES:
+        raise UnknownName(f"unknown group name {head!r}")
+    kinds, build, _ = _FAMILIES[head]
+    parts = [] if body is None else _split_top_level(body, text)
+    if len(parts) != len(kinds):
+        raise UnknownName(f"{head} takes {len(kinds)} argument(s), got {len(parts)}")
+    args = []
+    for kind, part in zip(kinds, parts):
+        if kind == "g":
+            args.append(_evaluate(part, cap))
+        elif (digits := part.strip()).isascii() and digits.isdigit():
+            args.append(int(digits))
+        else:
+            raise UnknownName(f"cannot parse group name {text!r}")
+    return build(*args, cap=cap)
+
+
+def _split_top_level(inner: str, whole: str) -> list[str]:
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise UnknownName(f"unbalanced parentheses in {whole!r}")
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+    if depth != 0:
+        raise UnknownName(f"unbalanced parentheses in {whole!r}")
+    parts.append(inner[start:])
+    return parts

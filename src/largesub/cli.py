@@ -10,12 +10,10 @@ Verbs:
   construct GROUP       print the corpus record for a group expression
   corpus-check CORPUS   validate every record of a corpus file
 
-GROUP is a group expression: a catalog name such as "symmetric(4)" or
-"sl(2,3)", or one of the combinators "direct(a,b)" and "central(a,b)"
-applied recursively.  central(a,b) glues the full centers of a and b along
-the canonical basis isomorphism and fails when the centers are not
-isomorphic.  TARGET is a group expression, or the path of a corpus file
-(line-delimited JSON; see the corpus module).
+GROUP is a group expression, such as "symmetric(4)" or
+"central(sl(2,3),quaternion(8))", evaluated by catalog.named_group.  TARGET
+is a group expression, or the path of a corpus file (line-delimited JSON),
+read by corpus.read_corpus.
 
 verify reads which claim takes which parameter off largeness._CLAIM_TABLE:
 --theorem gives a selector such as G:2, or a bare claim head whose
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -41,23 +38,10 @@ from .classes import (
     has_minimal_supersoluble_residual,
     is_soluble,
 )
-from .corpus import dump_record, read_records
-from .errors import (
-    CorpusFormatError,
-    GroupError,
-    NotAGroup,
-    OrderCapExceeded,
-    UnknownClass,
-    UnknownName,
-)
-from .groups import (
-    FiniteGroup,
-    abelian_isomorphism,
-    central_product_with_embeddings,
-    direct_product,
-    subgroup_as_group,
-)
-from .largeness import CLAIMS, VerificationReport, _CLAIM_TABLE, scan_exceptional, verify_selector
+from .corpus import dump_record, read_corpus, read_records
+from .errors import GroupError, NotAGroup, OrderCapExceeded, UnknownClass, UnknownName
+from .groups import FiniteGroup
+from .largeness import CLAIMS, VerificationReport, _CLAIM_TABLE, claim_for, scan_exceptional
 from .radicals import (
     fitting_subgroup,
     generalized_fitting_subgroup,
@@ -75,85 +59,14 @@ from .structure import (
     normal_subgroups,
 )
 
-# -- group expressions ---------------------------------------------------------
-
-_COMBINATOR_RE = re.compile(r"^(direct|central)\s*\(")
-
-
-def parse_group_spec(text: str, *, cap=None) -> FiniteGroup:
-    """Evaluate a group expression: a catalog name, direct(a,b), or
-    central(a,b), nested freely up to the interpreter's recursion limit;
-    deeper nesting is refused as UnknownName."""
-    try:
-        return _evaluate(text, cap)
-    except RecursionError:
-        raise UnknownName("group expression nested too deeply") from None
-
-
-def _evaluate(text: str, cap) -> FiniteGroup:
-    text = text.strip()
-    m = _COMBINATOR_RE.match(text)
-    if m is None:
-        return named_group(text, cap=cap)
-    if not text.endswith(")"):
-        raise UnknownName(f"unbalanced parentheses in {text!r}")
-    parts = _split_top_level(text[m.end() : -1], text)
-    if len(parts) != 2:
-        raise UnknownName(f"{m.group(1)} takes exactly two group expressions: {text!r}")
-    A = _evaluate(parts[0], cap)
-    B = _evaluate(parts[1], cap)
-    if m.group(1) == "direct":
-        return direct_product(A, B, cap=cap)
-    return _central_of_centers(A, B, cap=cap)
-
-
-def _split_top_level(inner: str, whole: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UnknownName(f"unbalanced parentheses in {whole!r}")
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    if depth != 0:
-        raise UnknownName(f"unbalanced parentheses in {whole!r}")
-    parts.append(inner[start:])
-    return parts
-
-
-def _central_of_centers(A: FiniteGroup, B: FiniteGroup, *, cap=None) -> FiniteGroup:
-    """The central product gluing the full centers of A and B along the
-    canonical basis isomorphism (NotIsomorphism when they differ)."""
-    Ag, back_a = subgroup_as_group(A, center(A))
-    Bg, back_b = subgroup_as_group(B, center(B))
-    iso = abelian_isomorphism(Ag, Bg)
-    pairing = {back_a[a]: back_b[b] for a, b in iso.items()}
-    name = None
-    if A.name and B.name:
-        name = f"central({A.name},{B.name})"
-    return central_product_with_embeddings(A, B, pairing, name=name, cap=cap)[0]
-
-
-def _load_corpus(path) -> list[FiniteGroup]:
-    records = read_records(path)
-    groups = []
-    for rec in records:
-        try:
-            groups.append(rec.build())
-        except (NotAGroup, OrderCapExceeded) as exc:
-            raise CorpusFormatError(f"record does not build: {exc}", rec.line_no) from exc
-    return groups
+# -- targets ---------------------------------------------------------------------
 
 
 def _load_target(target: str) -> list[FiniteGroup]:
     """A corpus path if the file exists, else a group expression."""
     if Path(target).exists():
-        return _load_corpus(target)
-    return [parse_group_spec(target)]
+        return read_corpus(target)
+    return [named_group(target)]
 
 
 # -- info ------------------------------------------------------------------------
@@ -216,7 +129,7 @@ def _render_info_text(info: dict) -> str:
 
 
 def cmd_info(args) -> int:
-    G = parse_group_spec(args.target)
+    G = named_group(args.target)
     info = group_info(G)
     if args.format == "jsonl":
         print(json.dumps(info, separators=(",", ":")))
@@ -258,12 +171,12 @@ def _selector_from_args(args) -> str:
 
 
 def cmd_verify(args) -> int:
-    selector = _selector_from_args(args)
+    claim = claim_for(_selector_from_args(args))
     counts = {"pass": 0, "skip": 0, "fail": 0}
     # each record is printed as soon as it is built, so a group that raises
     # leaves the records before it on stdout
     for G in _load_target(args.target):
-        report = verify_selector(G, selector)
+        report = claim(G)
         counts[report.outcome] += 1
         if args.format == "jsonl":
             print(json.dumps(report.to_dict(), separators=(",", ":")))
@@ -306,7 +219,7 @@ def cmd_scan(args) -> int:
     path = Path(args.target)
     if not path.exists():
         raise UnknownName(f"corpus file not found: {args.target}")
-    groups = _load_corpus(path)
+    groups = read_corpus(path)
     records = scan_exceptional(groups)
     counts: dict[str, int] = {}
     per_order: dict[int, int] = {}
@@ -361,7 +274,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    G = parse_group_spec(args.target)
+    G = named_group(args.target)
     print(dump_record(G))
     return 0
 

@@ -12,8 +12,9 @@ and lines starting with '#' skipped.  Two record kinds are understood:
 
 Structural problems (bad JSON, wrong field shapes) raise CorpusFormatError
 with the line number.  Semantic problems (a table that is not a group) are
-left to the builders, so callers can distinguish unreadable files from
-readable files containing non-groups.
+left to CorpusRecord.build, so callers can distinguish unreadable files
+from readable files containing non-groups; read_corpus, which builds every
+record, reports either kind as a CorpusFormatError naming the line.
 
 CorpusRecord.data is the parsed JSON object, except that a table record's
 "table" is usually a flat int64 numpy array rather than a list, which build
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, NotAGroup, OrderCapExceeded
 from .groups import (
     FiniteGroup,
     _check_cap,
@@ -232,8 +233,15 @@ def read_records(path) -> list[CorpusRecord]:
 
 
 def read_corpus(path, *, cap=None) -> list[FiniteGroup]:
-    """Load every record in the file as a group."""
-    return [rec.build(cap=cap) for rec in read_records(path)]
+    """Load every record in the file as a group.  A record that does not
+    build is a CorpusFormatError naming its line."""
+    groups = []
+    for rec in read_records(path):
+        try:
+            groups.append(rec.build(cap=cap))
+        except (NotAGroup, OrderCapExceeded) as exc:
+            raise CorpusFormatError(f"record does not build: {exc}", rec.line_no) from exc
+    return groups
 
 
 def record_for_group(G: FiniteGroup) -> dict:

@@ -5,8 +5,8 @@ This module checks that property for the subgroups various structural
 claims say must have it, over single groups or whole corpora, and reports
 results in a uniform structured form.
 
-Claim selectors (used by the CLI and verify_selector) are read off
-_CLAIM_TABLE: a claim head, such as E, or a head and its parameter after
+Claim selectors (used by the CLI, claim_for and verify_selector) are read
+off _CLAIM_TABLE: a claim head, such as E, or a head and its parameter after
 ':', such as A:nilpotent (a class key, see classes.BUILTIN_CLASS_KEYS),
 F:2,3 (a prime set), G:2 or GD:2 (a bound).  For each head the table gives
 the name of the parameter it takes, if any, that parameter's parser, the
@@ -493,9 +493,11 @@ _CLAIM_TABLE = {
 CLAIMS = {head: text for head, (_, _, _, text) in _CLAIM_TABLE.items()}
 
 
-def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
-    """Parse a claim selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' and
-    run it on one group, returning a uniform report."""
+def claim_for(selector: str):
+    """The claim a selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' names,
+    its parameter parsed, as a function of one group returning a uniform
+    report.  A selector that names no claim, or a parameter the claim does
+    not take, raises here, before any group is read."""
     head, colon, param = (part.strip() for part in selector.partition(":"))
     head = head.upper()
     if head not in _CLAIM_TABLE:
@@ -504,7 +506,13 @@ def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
     if parse is None:
         if colon:
             raise UnknownClass(f"selector {selector!r}: claim {head} takes no parameter")
-        return claim(G)
+        return claim
     if not param:
         raise UnknownClass(f"selector {selector!r} needs a parameter after ':'")
-    return claim(G, parse(param, f"selector {selector!r}"))
+    value = parse(param, f"selector {selector!r}")
+    return lambda G: claim(G, value)
+
+
+def verify_selector(G: FiniteGroup, selector: str) -> VerificationReport:
+    """Run the claim a selector names (see claim_for) on one group."""
+    return claim_for(selector)(G)

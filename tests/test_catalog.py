@@ -92,6 +92,73 @@ def test_named_group_parsing():
     assert ls.named_group("dihedral( 10 )").order == 10
 
 
+def test_catalog_keys_are_pinned():
+    assert ls.CATALOG_KEYS == (
+        "trivial",
+        "klein_four",
+        "cyclic(n)",
+        "dihedral(order)",
+        "quaternion(8)",
+        "symmetric(n<=6)",
+        "alternating(n<=6)",
+        "sl(2,3)",
+    )
+
+
+def _same_group(G, H):
+    assert G.table.tobytes() == H.table.tobytes()
+    assert (G.name, G.labels) == (H.name, H.labels)
+
+
+def test_named_group_builds_every_family():
+    built = {
+        "trivial": ls.trivial_group(),
+        "klein_four": ls.klein_four_group(),
+        "cyclic(6)": ls.cyclic_group(6),
+        "dihedral(8)": ls.dihedral_group(8),
+        "quaternion(8)": ls.quaternion_group(8),
+        "symmetric(4)": ls.symmetric_group(4),
+        "alternating(5)": ls.alternating_group(5),
+        "sl(2,3)": ls.special_linear_2_3(),
+        "direct(cyclic(2),cyclic(3))": ls.direct_product(ls.cyclic_group(2), ls.cyclic_group(3)),
+    }
+    for key, G in built.items():
+        _same_group(ls.named_group(key), G)
+
+
+def _glue_centers_of_order_two(A, B):
+    # the only isomorphism between two centers of order 2
+    (za,) = [z for z in ls.center(A).elements if z]
+    (zb,) = [z for z in ls.center(B).elements if z]
+    name = f"central({A.name},{B.name})"
+    return ls.central_product_with_embeddings(A, B, {0: 0, za: zb}, name=name)[0]
+
+
+def test_nested_expressions_match_the_builders():
+    C2, C3, S3 = ls.cyclic_group(2), ls.cyclic_group(3), ls.symmetric_group(3)
+    Q8, SL23 = ls.quaternion_group(8), ls.special_linear_2_3()
+    _same_group(
+        ls.named_group("direct(direct(cyclic(2),cyclic(3)),symmetric(3))"),
+        ls.direct_product(ls.direct_product(C2, C3), S3),
+    )
+    central = _glue_centers_of_order_two(SL23, Q8)
+    _same_group(ls.named_group(" central( sl(2,3), quaternion(8) ) "), central)
+    _same_group(
+        ls.named_group("direct(central(sl(2,3),quaternion(8)),cyclic(3))"),
+        ls.direct_product(central, C3),
+    )
+    _same_group(
+        ls.named_group("central(dihedral(8),direct(quaternion(8),trivial))"),
+        _glue_centers_of_order_two(
+            ls.dihedral_group(8), ls.direct_product(Q8, ls.trivial_group())
+        ),
+    )
+    # an explicit cap reaches the parts of a nested build
+    with pytest.raises(ls.OrderCapExceeded):
+        ls.named_group("central(sl(2,3),quaternion(8))", cap=50)
+    assert ls.named_group("central(sl(2,3),quaternion(8))", cap=96).order == 96
+
+
 def test_catalog_keys_mention_every_family():
     text = " ".join(ls.CATALOG_KEYS)
     for family in ("trivial", "klein_four", "cyclic", "dihedral",

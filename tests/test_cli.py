@@ -25,18 +25,18 @@ def jsonl(out):
 
 
 def test_parse_group_spec_names_and_nesting():
-    assert cli.parse_group_spec("symmetric(4)").order == 24
-    assert cli.parse_group_spec(" direct( alternating(4), cyclic(2) ) ").order == 24
-    nested = cli.parse_group_spec("direct(direct(cyclic(2),cyclic(3)),symmetric(3))")
+    assert ls.named_group("symmetric(4)").order == 24
+    assert ls.named_group(" direct( alternating(4), cyclic(2) ) ").order == 24
+    nested = ls.named_group("direct(direct(cyclic(2),cyclic(3)),symmetric(3))")
     assert nested.order == 36
-    glued = cli.parse_group_spec("central(sl(2,3),quaternion(8))")
+    glued = ls.named_group("central(sl(2,3),quaternion(8))")
     assert glued.order == 96
     assert ls.center(glued).order == 2
 
 
 def test_parse_group_spec_central_requires_isomorphic_centers():
     with pytest.raises(ls.NotIsomorphism):
-        cli.parse_group_spec("central(quaternion(8),cyclic(4))")
+        ls.named_group("central(quaternion(8),cyclic(4))")
 
 
 @pytest.mark.parametrize(
@@ -48,6 +48,10 @@ def test_parse_group_spec_central_requires_isomorphic_centers():
         "central(cyclic(2)))",
         "nonsense(2)",
         "cyclic(0)",
+        "cyclic(x)",
+        "cyclic(2,3)",
+        "sl(3,3)",
+        "monster",
         pytest.param(
             "direct(" * 1000 + "cyclic(1)" + ",cyclic(1))" * 1000, id="nested-1000-deep"
         ),
@@ -55,7 +59,7 @@ def test_parse_group_spec_central_requires_isomorphic_centers():
 )
 def test_parse_group_spec_rejects_bad_expressions(text, capsys):
     with pytest.raises(ls.UnknownName):
-        cli.parse_group_spec(text)
+        ls.named_group(text)
     code, out, err = run(capsys, "info", text)
     assert code == 2
     assert out == ""
@@ -203,7 +207,7 @@ def test_verify_counterexample_exit_code(capsys, tmp_path, monkeypatch):
     report.witnesses.append(
         ls.WitnessRecord("stub subgroup", 1, (0,), False, 1)
     )
-    monkeypatch.setattr(cli, "verify_selector", lambda G, s: report)
+    monkeypatch.setattr(cli, "claim_for", lambda s: lambda G: report)
     code, out, _ = run(capsys, "verify", "--theorem", "D", "cyclic(2)")
     assert code == 1
     assert "[FAIL]" in out
@@ -214,7 +218,7 @@ def test_verify_counterexample_exit_code(capsys, tmp_path, monkeypatch):
 def test_verify_failed_checks_line(capsys, monkeypatch):
     report = ls.VerificationReport("B", "stub", 8)
     report.checks.append(("product_order", False))
-    monkeypatch.setattr(cli, "verify_selector", lambda G, s: report)
+    monkeypatch.setattr(cli, "claim_for", lambda s: lambda G: report)
     code, out, _ = run(capsys, "verify", "--theorem", "B", "cyclic(2)")
     assert code == 1
     assert "failed checks: product_order" in out
@@ -251,6 +255,18 @@ def test_verify_bad_selector(capsys, selector):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error:") and _BAD_SELECTORS[selector] in line
+
+
+@pytest.mark.parametrize("selector", ["Z", "E:3", "A:bogus"])
+def test_verify_checks_the_selector_before_reading(capsys, tmp_path, selector):
+    # a corpus without records once printed an empty summary and exited 0
+    path = tmp_path / "empty.jsonl"
+    path.write_text("# no records\n")
+    code, out, err = run(capsys, "verify", "--theorem", selector, str(path))
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:")
 
 
 @pytest.mark.parametrize(

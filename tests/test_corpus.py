@@ -122,6 +122,21 @@ def test_semantic_failures_surface_as_not_a_group():
         rec.build()
 
 
+def test_read_corpus_names_the_line_of_a_record_that_does_not_build(tmp_path):
+    bad = {"kind": "table", "name": "bad", "order": 2, "table": [0, 1, 1, 1]}
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(dump_record(ls.cyclic_group(2)) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ls.CorpusFormatError) as info:
+        read_corpus(path)
+    assert info.value.line_no == 2
+    assert "record does not build" in str(info.value)
+    assert isinstance(info.value.__cause__, ls.NotAGroup)
+    with pytest.raises(ls.CorpusFormatError) as info:
+        read_corpus(path, cap=1)
+    assert info.value.line_no == 1
+    assert isinstance(info.value.__cause__, ls.OrderCapExceeded)
+
+
 def test_build_respects_cap():
     rec = CorpusRecord(
         kind="perm",

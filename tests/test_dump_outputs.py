@@ -38,6 +38,7 @@ def test_dump_families_and_counts():
         "info",
         "cover_reports",
         "flag_reports",
+        "expressions",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -48,7 +49,8 @@ def test_dump_families_and_counts():
     # memberships and chief_questions: one per group; largeness: one per
     # normal subgroup of G; commutators: one per unordered pair of normal
     # subgroups of G (3 + 6 + 10); info and cover_reports: one report
-    # per group; flag_reports: one CLI run per flag spelling
+    # per group; flag_reports: one CLI run per flag spelling; expressions:
+    # one construct and info run per expression, whatever the corpus
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -68,10 +70,12 @@ def test_dump_families_and_counts():
         "info": 3,
         "cover_reports": 3,
         "flag_reports": len(tool.FLAG_SPELLINGS),
+        "expressions": len(tool.EXPRESSIONS),
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.FLAG_SPELLINGS) == 5
-    assert len(result) == 18
+    assert len(tool.EXPRESSIONS) == 21
+    assert len(result) == 19
     assert len(tool.MALFORMED_RECORDS) == 25
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

@@ -8,7 +8,8 @@ the checkout's own src/ on the path:
 Two trees compute the same outputs when this prints the same lines for
 both; to compare a change with its parent, run it in each (for example in a
 `git archive` of the parent, with this file copied into its tools/).  The
-eighteen families, each hashed over all 243 groups in corpus order:
+first eighteen families are each hashed over all 243 groups in corpus
+order; the last one reads no corpus:
 
     tables             order, table bytes, labels and display_name of G
                        (element order included, since indices follow it)
@@ -72,6 +73,11 @@ eighteen families, each hashed over all 243 groups in corpus order:
                        composition factor orders
     cover_reports      the report of claim B (verify_selector(G, "B")),
                        or the class and message of the error it raises
+    expressions        exit code and stdout of `largesub construct EXPR`
+                       and `largesub info --format jsonl EXPR` for each of
+                       EXPRESSIONS: every catalog family at sample
+                       arguments, nested direct and central products, and
+                       malformed expressions
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -128,6 +134,7 @@ FAMILIES = (
     "info",
     "cover_reports",
     "flag_reports",
+    "expressions",
 )
 FLAG_SPELLINGS = (
     ("--theorem", "A", "--class-key", "nilpotent"),
@@ -166,6 +173,29 @@ CLOSURE_CLASSES = (
     "pi_separable:2,3",
     "normal_hall_pi_prime:2",
     "normal_hall_pi_prime:3",
+)
+EXPRESSIONS = (
+    "trivial",
+    "klein_four",
+    "cyclic(6)",
+    "dihedral(8)",
+    "quaternion(8)",
+    "symmetric(4)",
+    "alternating(5)",
+    "sl(2,3)",
+    " direct( alternating(4), cyclic(2) ) ",
+    "direct(direct(cyclic(2),cyclic(3)),symmetric(3))",
+    "central(sl(2,3),quaternion(8))",
+    "central(dihedral(8),direct(quaternion(8),trivial))",
+    "central(quaternion(8),cyclic(4))",
+    "direct(cyclic(2))",
+    "cyclic(x)",
+    "cyclic(2,3)",
+    "sl(3,3)",
+    "monster",
+    "direct(cyclic(2),cyclic(3)",
+    "central(cyclic(2)))",
+    "direct(" * 1000 + "cyclic(1)" + ",cyclic(1))" * 1000,
 )
 _LOOP5 = [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]
 
@@ -224,13 +254,18 @@ def _chain(series) -> list:
     return [[S.elements for S in series.chain], list(series.factor_orders)]
 
 
+def _cli(*argv: str) -> list:
+    # exit code and stdout of one largesub command; stderr is dropped
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return [code, out.getvalue()]
+
+
 def _verify(path: Path, *spelling: str) -> list:
     # a selector, or the arguments that spell one
-    out = io.StringIO()
     argv = ["--claim", *spelling] if len(spelling) == 1 else list(spelling)
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", *argv, str(path), "--format", "jsonl"])
-    return [" ".join(spelling), code, out.getvalue()]
+    return [" ".join(spelling), *_cli("verify", *argv, str(path), "--format", "jsonl")]
 
 
 def _moved_record(G) -> str:
@@ -362,6 +397,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
             put("flag_reports", _verify(path, *spelling))
     for line in [*map(_moved_record, corpus), *MALFORMED_RECORDS]:
         put("ingest", _ingest(line))
+    for expr in EXPRESSIONS:
+        put("expressions", [expr, _cli("construct", expr), _cli("info", "--format", "jsonl", expr)])
     return {family: (counts[family], digests[family].hexdigest()) for family in FAMILIES}
 
 
