@@ -19,9 +19,9 @@ from .errors import BadArgument, ClosureNotDeclared, NotSoluble, UnknownClass
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors
 from .structure import (
     _as_subgroup,
+    _built_record,
     _commutator_walk,
     _lattice,
-    _memoized,
     _record_of,
     composition_factors,
 )
@@ -60,13 +60,13 @@ class ClassPredicate:
 
 def is_abelian(x) -> bool:
     """Takes a group or a subgroup H.  When H is a member of its parent G's
-    lattice record and that record is already memoized, the record decides
+    lattice record and that record is already built, the record decides
     (a class-size filter, then whether H lies in its own centralizer, the
     entry that the claim witnesses read too).  Any other H compares the
     H x H block of the parent's table with its transpose; no record is
     built for this."""
     H = _as_subgroup(x)
-    lat = H.parent._cache.get("normal_lattice")
+    lat = _built_record(H.parent)
     i = None if lat is None else lat.index.get(H.elements)
     if i is not None:
         return lat.abelian(i)
@@ -79,25 +79,24 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
     """Length of the lower central series, or None when it never reaches the
     trivial subgroup.  The trivial group has class 0, a nontrivial abelian
     group class 1.  Compare against None, not truthiness.  Takes a group or
-    a subgroup, like the series; the result is memoized on the parent.
+    a subgroup, like the series; the length is kept on the lattice record
+    the series walks.
 
     A proper normal subgroup N of the parent is nilpotent exactly when it
     lies in the Fitting subgroup of the parent (Fitting's theorem), so one
     outside it gets None from the class masks of the parent's lattice
     record, without a series.  The Fitting subgroup is the product of the
     p-cores, found by order alone."""
-    return _memoized(G, "nilpotency_class", _nilpotency_class)
-
-
-def _nilpotency_class(H: Subgroup) -> int | None:
+    H = _as_subgroup(G)
     if not H.is_whole:
         lat = _lattice(H.parent)
         i = lat.index.get(H.elements)
         if i is not None:
-            from .radicals import fitting_subgroup
+            if lat.fitting is None:
+                from .radicals import fitting_subgroup
 
-            F = fitting_subgroup(H.parent).subgroup
-            if not lat.le(i, lat.index[F.elements]):
+                fitting_subgroup(H.parent)  # keeps its position on the record
+            if not lat.le(i, lat.fitting):
                 return None
     return _length(H, derived=False)
 
@@ -105,16 +104,19 @@ def _nilpotency_class(H: Subgroup) -> int | None:
 def derived_length(G: FiniteGroup) -> int | None:
     """Number of derived steps down to the trivial subgroup, or None for an
     insoluble group.  Trivial group: 0, nontrivial abelian: 1.  Takes a
-    group or a subgroup, like the series; the result is memoized on the
-    parent."""
-    return _memoized(G, "derived_length", lambda H: _length(H, derived=True))
+    group or a subgroup, like the series; the length is kept on the lattice
+    record the series walks."""
+    return _length(_as_subgroup(G), derived=True)
 
 
 def _length(H: Subgroup, *, derived: bool) -> int | None:
-    # steps of the walk down to the trivial member, position 0; None if the
-    # series stops above it
-    _, chain = _commutator_walk(H, derived=derived)
-    return len(chain) - 1 if chain[-1] == 0 else None
+    # steps of the walk down to the trivial member, position 0, or None if
+    # the series stops above it; kept on the record the walk reads
+    lat, i = _record_of(H)
+    if (i, derived) not in lat.lengths:
+        _, chain = _commutator_walk(H, derived=derived)
+        lat.lengths[i, derived] = len(chain) - 1 if chain[-1] == 0 else None
+    return lat.lengths[i, derived]
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

@@ -22,6 +22,7 @@ alike.  Only unusable input raises, before any hypothesis is evaluated: an
 unknown selector or class key, a parameter the claim or class does not
 take, a bound below 2 (BadBound, BadClassBound), a class without the
 closure flags the claim needs (ClosureFlagsMissing) or a bad prime set.
+claim_for raises these as it parses the selector, before any group.
 """
 
 from __future__ import annotations
@@ -203,17 +204,16 @@ def _require_flags(X: ClassPredicate, lacks: str, *names: str) -> None:
 # -- claims about maximal normal class members (A, C) -------------------------
 
 
+def _assembly_flags(X: ClassPredicate) -> None:
+    # the class claim A takes
+    flags = ("normal_subgroups", "quotients", "direct_products", "central_extensions")
+    _require_flags(X, "lacks declared closure under", *flags)
+
+
 def verify_maximal_member_large(G: FiniteGroup, X: ClassPredicate) -> VerificationReport:
     """Claim A: in a group assembled from X, every maximal normal X-subgroup
     is large.  X must declare all four assembly closure flags."""
-    _require_flags(
-        X,
-        "lacks declared closure under",
-        "normal_subgroups",
-        "quotients",
-        "direct_products",
-        "central_extensions",
-    )
+    _assembly_flags(X)
     report = _report("A", G, (f"assembled_from_{X.name}", in_extension_closure(X, G)))
     _add_maximal_members(report, G, X, f"maximal normal {X.name}-subgroup of order ")
     return report
@@ -225,10 +225,15 @@ def _abelian_samples() -> tuple[FiniteGroup, ...]:
     return (cyclic_group(2), cyclic_group(6), klein_four_group())
 
 
+def _formation_flags(X: ClassPredicate) -> None:
+    # the class claim C takes
+    _require_flags(X, "lacks declared flags", "normal_subgroups", "solubly_saturated_formation")
+
+
 def verify_formation_member_large(G: FiniteGroup, X: ClassPredicate) -> VerificationReport:
     """Claim C: like A, but X only needs to be a solubly saturated formation
     closed under normal subgroups and containing the abelian groups."""
-    _require_flags(X, "lacks declared flags", "normal_subgroups", "solubly_saturated_formation")
+    _formation_flags(X)
     report = _report(
         "C",
         G,
@@ -279,11 +284,20 @@ def _bounded_report(theorem: str, G: FiniteGroup, X, bound: str) -> Verification
     return report
 
 
+def _class_bound(c: int) -> None:
+    if c < 2:
+        raise BadClassBound(f"the class bound must be at least 2, got {c}")
+
+
+def _derived_bound(d: int) -> None:
+    if d < 2:
+        raise BadBound(f"the derived length bound must be at least 2, got {d}")
+
+
 def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationReport:
     """Claim G: in a soluble group, maximal normal subgroups of nilpotency
     class <= c are large (needs c >= 2)."""
-    if c < 2:
-        raise BadClassBound(f"the class bound must be at least 2, got {c}")
+    _class_bound(c)
     X = _bounded_class("nilpotent_class", c)
     return _bounded_report("G", G, X, f"nilpotency class <= {c}")
 
@@ -291,8 +305,7 @@ def verify_nilpotent_class_bound_large(G: FiniteGroup, c: int) -> VerificationRe
 def verify_derived_length_bound_large(G: FiniteGroup, d: int) -> VerificationReport:
     """Claim GD: in a soluble group, maximal normal subgroups of derived
     length <= d are large (needs d >= 2)."""
-    if d < 2:
-        raise BadBound(f"the derived length bound must be at least 2, got {d}")
+    _derived_bound(d)
     X = _bounded_class("soluble_derived", d)
     return _bounded_report("GD", G, X, f"derived length <= {d}")
 
@@ -466,43 +479,46 @@ def _parse_class(key: str, owner: str) -> ClassPredicate:
 
 
 # claim head -> (name of its parameter, or None; the parameter's parser; the
-# claim; what it says).  The CLI spells each parameter name as one flag.
+# check the claim makes of the parsed parameter, or None; the claim; what it
+# says).  The CLI spells each parameter name as one flag.
 _CLAIM_TABLE = {
-    "A": ("classkey", _parse_class, verify_maximal_member_large,
+    "A": ("classkey", _parse_class, _assembly_flags, verify_maximal_member_large,
           "maximal normal members of a fully closure-flagged class are large in groups"
           " assembled from the class"),
-    "C": ("classkey", _parse_class, verify_formation_member_large,
+    "C": ("classkey", _parse_class, _formation_flags, verify_formation_member_large,
           "maximal normal members of a solubly saturated formation (containing the abelian"
           " groups) are large in groups assembled from it"),
-    "D": (None, None, verify_fitting_large, "the fitting subgroup of a soluble group is large"),
-    "E": (None, None, verify_generalized_fitting_large,
+    "D": (None, None, None, verify_fitting_large,
+          "the fitting subgroup of a soluble group is large"),
+    "E": (None, None, None, verify_generalized_fitting_large,
           "the generalized fitting subgroup is large in every group"),
-    "F": ("primes", _parse_primes, verify_two_step_core_large,
+    "F": ("primes", _parse_primes, None, verify_two_step_core_large,
           "the two-step core of a pi-separable group is large"),
-    "G": ("c", _parse_int, verify_nilpotent_class_bound_large,
+    "G": ("c", _parse_int, _class_bound, verify_nilpotent_class_bound_large,
           "maximal normal subgroups of bounded nilpotency class are large in soluble groups"),
-    "GD": ("d", _parse_int, verify_derived_length_bound_large,
+    "GD": ("d", _parse_int, _derived_bound, verify_derived_length_bound_large,
            "maximal normal subgroups of bounded derived length are large in soluble groups"),
-    "H": (None, None, verify_maximal_abelian_large,
+    "H": (None, None, None, verify_maximal_abelian_large,
           "maximal abelian normal subgroups are large in soluble groups with minimal-or-trivial"
           " supersoluble residual"),
-    "B": (None, None, _cover_witness_report,
+    "B": (None, None, None, _cover_witness_report,
           "central subgroups embed as the frattini subgroup of an abelian cover inside a"
           " central product"),
 }
-CLAIMS = {head: text for head, (_, _, _, text) in _CLAIM_TABLE.items()}
+CLAIMS = {head: text for head, (*_, text) in _CLAIM_TABLE.items()}
 
 
 def claim_for(selector: str):
     """The claim a selector like 'A:nilpotent', 'F:2,3', 'G:2' or 'E' names,
-    its parameter parsed, as a function of one group returning a uniform
-    report.  A selector that names no claim, or a parameter the claim does
-    not take, raises here, before any group is read."""
+    its parameter parsed and checked, as a function of one group returning a
+    uniform report.  A selector that names no claim, a parameter the claim
+    does not take, or a bound or class the claim refuses raises here,
+    before any group is read."""
     head, colon, param = (part.strip() for part in selector.partition(":"))
     head = head.upper()
     if head not in _CLAIM_TABLE:
         raise UnknownClass(f"unknown claim selector {selector!r}")
-    _, parse, claim, _ = _CLAIM_TABLE[head]
+    _, parse, check, claim, _ = _CLAIM_TABLE[head]
     if parse is None:
         if colon:
             raise UnknownClass(f"selector {selector!r}: claim {head} takes no parameter")
@@ -510,6 +526,8 @@ def claim_for(selector: str):
     if not param:
         raise UnknownClass(f"selector {selector!r} needs a parameter after ':'")
     value = parse(param, f"selector {selector!r}")
+    if check is not None:
+        check(value)
     return lambda G: claim(G, value)
 
 

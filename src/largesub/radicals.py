@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from .classes import ClassPredicate, _validate_pi, is_quasisimple, is_soluble
 from .errors import ClosureNotDeclared, NotAFittingClassWitness, NotAFormationWitness
 from .groups import FiniteGroup, Subgroup, pi_part, prime_factors, quotient_group
-from .structure import (
-    _lattice,
-    _memoized,
-    _normal_join,
-    derived_series,
-    intersect,
-    normal_subgroups,
-    subnormal_subgroups,
-)
+from .structure import _lattice, derived_series, intersect, normal_subgroups, subnormal_subgroups
 
 
 @dataclass(frozen=True)
@@ -93,15 +85,15 @@ def pi_prime_pi_core(G: FiniteGroup, pi) -> RadicalResult:
 
 def fitting_subgroup(x) -> RadicalResult:
     """Largest normal nilpotent subgroup of a group or a subgroup: the
-    product of the p-cores."""
-    def compute(H):
-        primes = prime_factors(H.order)
-        cores = [pi_core(H, (p,)).subgroup for p in primes]
-        return RadicalResult(
-            _normal_join(H, cores), f"product of the p-cores for p in {set(primes) or '{}'}"
-        )
-
-    return _memoized(x, "fitting_subgroup", compute)
+    product of the p-cores.  Its position is kept on the lattice record:
+    nilpotency_class asks for it again for every normal subgroup."""
+    lat = _lattice(x)
+    primes = prime_factors(lat.members[-1].order)
+    if lat.fitting is None:
+        lat.fitting = lat.closure_of([pi_core(x, (p,)).subgroup for p in primes])
+    return RadicalResult(
+        lat.members[lat.fitting], f"product of the p-cores for p in {set(primes) or '{}'}"
+    )
 
 
 def components(x) -> list[Subgroup]:
@@ -112,12 +104,9 @@ def components(x) -> list[Subgroup]:
     Otherwise the components lie inside the stable term of the derived
     series; that term is characteristic, hence its subnormal subgroups are
     exactly the subnormal subgroups of the input inside it."""
-    def compute(H):
-        if is_soluble(H):
-            return []
-        return [T for T in subnormal_subgroups(derived_series(H).last) if is_quasisimple(T)]
-
-    return _memoized(x, "components", compute)
+    if is_soluble(x):
+        return []
+    return [T for T in subnormal_subgroups(derived_series(x).last) if is_quasisimple(T)]
 
 
 def layer(x) -> RadicalResult:
@@ -131,14 +120,12 @@ def layer(x) -> RadicalResult:
 
 def generalized_fitting_subgroup(x) -> RadicalResult:
     """Join of the fitting subgroup and the layer; takes a group or a subgroup."""
-    def compute(H):
-        fit, lay = fitting_subgroup(H).subgroup, layer(H).subgroup
-        return RadicalResult(
-            _normal_join(H, (fit, lay)),
-            f"fitting subgroup (order {fit.order}) joined with the layer (order {lay.order})",
-        )
-
-    return _memoized(x, "generalized_fitting", compute)
+    fit, lay = fitting_subgroup(x).subgroup, layer(x).subgroup
+    lat = _lattice(x)
+    return RadicalResult(
+        lat.members[lat.closure_of((fit, lay))],
+        f"fitting subgroup (order {fit.order}) joined with the layer (order {lay.order})",
+    )
 
 
 def soluble_radical(G: FiniteGroup) -> RadicalResult:
@@ -211,17 +198,9 @@ def supersoluble_residual(G: FiniteGroup) -> Subgroup:
     kernel, so walking G's lattice record down from G finds every kernel;
     the index is looked up among the prime divisors of |G| before
     containment is asked of the record.  That the smallest lies in all
-    the others is asserted, not trusted.  Memoized on G."""
-    return _memoized(G, "supersoluble_residual", _supersoluble_residual)
-
-
-def _prime_indices(n: int) -> frozenset[int]:
-    # the prime indices of one member in another: every index divides n
-    return frozenset(prime_factors(n))
-
-
-def _supersoluble_residual(H: Subgroup) -> Subgroup:
-    lat = _lattice(H)
+    the others is asserted, not trusted.  Read off the record on every
+    call, and a member of it."""
+    lat = _lattice(G)
     members, le = lat.members, lat.le
     orders = [N.order for N in members]
     primes = _prime_indices(orders[-1])
@@ -237,3 +216,8 @@ def _supersoluble_residual(H: Subgroup) -> Subgroup:
                 members[least], members[K], "supersoluble kernels are not intersection-closed"
             )
     return members[least]
+
+
+def _prime_indices(n: int) -> frozenset[int]:
+    # the prime indices of one member in another: every index divides n
+    return frozenset(prime_factors(n))

@@ -10,35 +10,27 @@ The classes come from one flat take on the table: column i holds every
 conjugate of the i-th element, and the least entry of the column labels
 its class.  Normal subgroups are enumerated on class bitmasks: a normal
 subgroup is a union of classes, held as a Python int with bit j set for
-the j-th class.  Nothing is closed element by element.  One k x |H|
-gather holds a temporary class product table, hit[j, i, l] when class l
-meets rep_i times class j (x * class_j for x in class i is a conjugate of
-rep_i * class_j).  It is read out in blocks of columns j, each one bool
-scatter of at most _BLOCK_BYTES (256 KiB) packed into bitmask rows, so a
-group with at most 64 classes is one block and a group with more classes
-takes a few columns at a time in bounded memory.  The closure of class j
-is the fixpoint of M <- M * class_j on masks, each step an OR of the rows
-of column j for the classes new to M; a class and its inverse class are
-closed once, and only the columns of the classes closed are scattered.
-The same fixpoint from class i on that column gives class_i * C for the
-closure C.  These sets partition the classes, so the product of a normal
-subgroup N with C is the union of the parts N meets.  A closure that is
-already a product of earlier ones adds nothing.  Only the final list is
-turned back into element tuples.  The table lives for one lattice and is
-never memoized; is_simple counts the record's members.
+the j-th class.  Nothing is closed element by element: the closure of
+class j (one per class and inverse class) is a fixpoint on column j of a
+temporary class product table, _ClassProducts, read in blocks of bounded
+memory and never memoized.  The same fixpoint from class i gives
+class_i * C for the closure C.  These sets partition the classes, so the
+product of a normal subgroup N with C is the union of the parts N meets.
+A closure that is already a product of earlier ones adds nothing.  Only
+the final list is turned back into element tuples.
 
-The same pass leaves a private lattice record, memoized next to the list:
-each member's class bitmask, the position of each member's element tuple,
-the class of each element, and how the build found each member.  Every
-member but the trivial one was found as N_prev * C_j, for an earlier
-member N_prev and the closure C_j of class j; one int32 row per member
-holds the position of N_prev and j, so the walk back to the trivial
-member lists classes that generate the member, its generating classes.
-A subgroup generated by a union of classes is the first member whose mask
-contains them, since it lies in every other.  Only this module reads the
-class bitmasks: the record answers every other module in member
-positions.  These questions are answered on the record without closing
-anything:
+The same pass leaves a private lattice record, the one memo of the normal
+structure: each member's class bitmask, the position of each member's
+element tuple, the class of each element, and how the build found each
+member.  Every member but the trivial one was found as N_prev * C_j, for
+an earlier member N_prev and the closure C_j of class j; one int32 row
+per member holds the position of N_prev and j, so the walk back to the
+trivial member lists classes that generate the member, its generating
+classes.  A subgroup generated by a union of classes is the first member
+whose mask contains them, since it lies in every other.  Only this module
+reads the class bitmasks: the record answers every other module in
+member positions.  These questions are answered on the record without
+closing anything:
 
 * the derived and lower central series of a subgroup normal in its parent
   G walk G's record as member positions, and classes.nilpotency_class and
@@ -59,7 +51,7 @@ anything:
 * every chief-factor question reads one climb up the same record as the
   series, chief_steps: each step is the first member inside the top that
   properly contains the last, a chief factor of the record's group;
-* abelian-ness (classes.is_abelian) of a member N of an already memoized
+* abelian-ness (classes.is_abelian) of a member N of an already built
   record of G: every G-class in an abelian N has a size dividing |G:N|,
   and past that filter N is abelian exactly when it lies in its
   centralizer, the entry the witnesses read;
@@ -72,23 +64,23 @@ The canonical normal-subgroup list is the one source for minimal and
 maximal normal subgroups, the socle, the chief series, the cores and the
 supersoluble residual; none of them builds a quotient.  A join of normal
 subgroups (the socle, and the Fitting subgroups in radicals.py) is the
-first member over the OR of their masks, and a chief series is the climb
+first member over the classes they meet, and a chief series is the climb
 of chief_steps.  Minimal normal subgroups compare masks with the earlier
 members only, since a proper subgroup comes earlier in the canonical
-order.  The normal structure functions and
-the series take a group or a Subgroup H of it and work on the parent's
-table, memoizing H's results on the parent.  A series report holds its
-chain and nothing else; its factor orders are read off the orders of the
-chain's terms.
-Only the composition factors build groups, induced groups and their
-quotients, and only a class defined by a user needs them:
-in_extension_closure decides the built-in classes from the chief factor
-orders.
+order.  The normal structure functions and the series take a group or a
+Subgroup H of it and work on the parent's table, reading H's record,
+memoized on the parent, on every call; the record keeps what is asked
+again (see _Lattice).  A series report holds its chain and nothing else;
+its factor orders are read off the orders of the chain's terms.  Only the
+composition factors build groups, induced groups and their quotients, and
+only a class defined by a user needs them: in_extension_closure decides
+the built-in classes from the chief factor orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,7 +118,12 @@ def _as_subgroup(x) -> Subgroup:
 def _memoized(x, name, compute):
     """compute(H) for the group or subgroup x, memoized on the parent.  The
     whole group keys its entry by name alone, found without building
-    G.whole(); a proper subgroup H keys it by (name, H.elements)."""
+    G.whole(); a proper subgroup H keys it by (name, H.elements).  Three
+    names use it: conjugacy_classes, asked without a lattice (the bench
+    times them as a layer, and listing classes must not build a wide
+    lattice); normal_lattice, the record, the one memo of H's normal
+    structure; and normal_subgroups, the record's members again, which the
+    bench's walk over the caches counts under that name alone."""
     if isinstance(x, FiniteGroup):
         G, key = x, name
     else:
@@ -197,11 +194,9 @@ def centralizer(G: FiniteGroup, elements) -> Subgroup:
 
 def center(x) -> Subgroup:
     """Elements of a group or a subgroup H commuting with all of H: those
-    whose row of H's block of the table equals their column."""
-    return _memoized(x, "center", _center)
-
-
-def _center(H: Subgroup) -> Subgroup:
+    whose row of H's block of the table equals their column.  One block
+    compare per call; no lattice record is built."""
+    H = _as_subgroup(x)
     hs = H.as_array()
     block = H.parent.table[hs[:, None], hs]
     return Subgroup._sorted(H.parent, tuple(hs[(block == block.T).all(axis=1)].tolist()))
@@ -239,7 +234,7 @@ def normal_subgroups(x) -> list[Subgroup]:
     return _memoized(x, "normal_subgroups", lambda H: _lattice(H).members)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Lattice:
     """The normal subgroups of a group or subgroup H on its classes: the
     canonical list, each member's class bitmask, the position of each
@@ -249,8 +244,12 @@ class _Lattice:
     build found N_i as N_prev * C_j (zero for the trivial member).  The
     commutator and centralizer gathers run over the generating classes
     that steps gives, and their answers are stored as they are asked, so
-    each is gathered once per lattice.  Only this module reads the class
-    bitmasks; every other caller asks about member positions."""
+    each is gathered once per lattice.  So are the answers about H asked
+    again: maximal_normals, the Fitting subgroup's position (fitting, set by
+    radicals) and, by (position, derived), the lower central and derived
+    walk lengths of members (lengths, set by classes).  Only this module
+    reads the class bitmasks; every other caller asks about member
+    positions."""
 
     parent: FiniteGroup
     members: list[Subgroup]
@@ -262,6 +261,8 @@ class _Lattice:
     steps: np.ndarray
     commutators: dict[tuple[int, int], int] = field(default_factory=dict)
     centralizers: dict[int, int] = field(default_factory=dict)
+    lengths: dict[tuple[int, bool], int | None] = field(default_factory=dict)
+    fitting: int | None = None
 
     @property
     def top(self) -> int:
@@ -278,8 +279,9 @@ class _Lattice:
         return next(i for i, m in enumerate(self.masks) if not mask & ~m)
 
     def closure_of(self, subgroups) -> int:
-        """Position of the normal closure in H of the given subgroups of H:
-        the first member over the classes that meet them."""
+        """Position of the normal closure in H of the given subgroups of H
+        (their join, when they are normal): the first member over the
+        classes that meet them."""
         classes = {c for T in subgroups for c in self.class_of[T.as_array()].tolist()}
         return self.least_over(sum(1 << c for c in classes))
 
@@ -293,6 +295,12 @@ class _Lattice:
             if all(self.masks[i] & ~self.masks[j] for j in found) and test(i):
                 found.append(i)
         return found[::-1]
+
+    @cached_property
+    def maximal_normals(self) -> list[int]:
+        """Positions of the maximal members short of the top, asked by
+        every composition series through H."""
+        return self.maximal(lambda i: i != self.top)
 
     def chief_steps(self, top: int):
         """(position, factor order) for each step of a chief series from the
@@ -367,6 +375,11 @@ class _Lattice:
 
 def _lattice(x) -> _Lattice:
     return _memoized(x, "normal_lattice", _normals)
+
+
+def _built_record(G: FiniteGroup) -> _Lattice | None:
+    """G's own lattice record if it is already built, else None."""
+    return G._cache.get("normal_lattice")
 
 
 def _bits(mask: int):
@@ -525,11 +538,7 @@ def minimal_normal_subgroups(x) -> list[Subgroup]:
     tested against the earlier ones only."""
     if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
-    return list(_memoized(x, "minimal_normal_subgroups", _minimal_normals))
-
-
-def _minimal_normals(H: Subgroup) -> list[Subgroup]:
-    lat = _lattice(H)
+    lat = _lattice(x)
     masks = lat.masks
     return [
         lat.members[i]
@@ -543,22 +552,8 @@ def maximal_normal_subgroups(x) -> list[Subgroup]:
     order: the maximal members of the lattice record short of the top."""
     if _as_subgroup(x).is_trivial:
         raise TrivialGroup("the trivial group has no maximal normal subgroups")
-    return list(_memoized(x, "maximal_normal_subgroups", _maximal_normals))
-
-
-def _maximal_normals(H: Subgroup) -> list[Subgroup]:
-    lat = _lattice(H)
-    return [lat.members[i] for i in lat.maximal(lambda i: i != lat.top)]
-
-
-def _normal_join(H: Subgroup, normals) -> Subgroup:
-    """Join of subgroups normal in H, read off H's lattice record: the
-    first member containing all their classes."""
-    lat = _lattice(H)
-    mask = 0
-    for N in normals:
-        mask |= lat.masks[lat.index[N.elements]]
-    return lat.members[lat.least_over(mask)]
+    lat = _lattice(x)
+    return [lat.members[i] for i in lat.maximal_normals]
 
 
 def socle(x) -> Subgroup:
@@ -567,7 +562,8 @@ def socle(x) -> Subgroup:
     H = _as_subgroup(x)
     if H.is_trivial:
         return H.parent.trivial()
-    return _normal_join(H, minimal_normal_subgroups(H))
+    lat = _lattice(H)
+    return lat.members[lat.closure_of(minimal_normal_subgroups(H))]
 
 
 def is_simple(x) -> bool:
@@ -624,12 +620,14 @@ def _record_of(start: Subgroup) -> tuple[_Lattice, int]:
     if start.is_whole:
         lat = _lattice(start)
         return lat, lat.top
-    lat = start.parent._cache.get("normal_lattice")
+    lat = _built_record(start.parent)
     if lat is None and start.is_normal():
         lat = _lattice(start.parent)
-    if lat is None or start.elements not in lat.index:
+    i = None if lat is None else lat.index.get(start.elements)
+    if i is None:
         lat = _lattice(start)
-    return lat, lat.index[start.elements]
+        return lat, lat.top
+    return lat, i
 
 
 def _commutator_walk(start: Subgroup, *, derived: bool) -> tuple[_Lattice, list[int]]:
@@ -668,11 +666,9 @@ def composition_series(x, *, rng=None) -> SeriesReport:
 
 def composition_factors(x) -> list[FiniteGroup]:
     """The simple factor groups of the deterministic composition series of a
-    group or a subgroup, top factor first."""
-    return _memoized(x, "composition_factors", _factors)
-
-
-def _factors(H: Subgroup) -> list[FiniteGroup]:
+    group or a subgroup, top factor first.  Each factor is built once: the
+    induced groups and their quotients are memoized by groups.py."""
+    H = _as_subgroup(x)
     chain = composition_series(H).chain
     out = []
     for upper, lower in zip(chain, chain[1:]):
@@ -699,10 +695,7 @@ def subnormal_subgroups(x) -> list[Subgroup]:
     """Fixpoint of "normal subgroup of something already collected",
     starting from the group or subgroup x itself; every member therefore
     carries a normal chain witnessing subnormality in x."""
-    return _memoized(x, "subnormal", _subnormals)
-
-
-def _subnormals(H: Subgroup) -> list[Subgroup]:
+    H = _as_subgroup(x)
     seen = {H.elements: H}
     queue = [H]
     while queue:

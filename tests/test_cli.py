@@ -257,7 +257,10 @@ def test_verify_bad_selector(capsys, selector):
     assert line.startswith("error:") and _BAD_SELECTORS[selector] in line
 
 
-@pytest.mark.parametrize("selector", ["Z", "E:3", "A:bogus"])
+@pytest.mark.parametrize(
+    "selector",
+    ["Z", "E:3", "A:bogus", "G:1", "GD:0", "A:abelian", "C:abelian", "C:nilpotent_class:2"],
+)
 def test_verify_checks_the_selector_before_reading(capsys, tmp_path, selector):
     # a corpus without records once printed an empty summary and exited 0
     path = tmp_path / "empty.jsonl"

@@ -39,6 +39,7 @@ def test_dump_families_and_counts():
         "cover_reports",
         "flag_reports",
         "expressions",
+        "subgroup_answers",
     )
     counts = {family: count for family, (count, _) in result.items()}
     # tables: one per group; normal_subgroups: one list per composition
@@ -50,7 +51,9 @@ def test_dump_families_and_counts():
     # normal subgroup of G; commutators: one per unordered pair of normal
     # subgroups of G (3 + 6 + 10); info and cover_reports: one report
     # per group; flag_reports: one CLI run per flag spelling; expressions:
-    # one construct and info run per expression, whatever the corpus
+    # one construct and info run per expression, whatever the corpus;
+    # subgroup_answers: G, each normal subgroup of G and each subgroup of
+    # two consecutive class representatives (3 + 9 + 4 + 2 + 6)
     assert counts == {
         "tables": 3,
         "normal_subgroups": 10,
@@ -71,11 +74,12 @@ def test_dump_families_and_counts():
         "cover_reports": 3,
         "flag_reports": len(tool.FLAG_SPELLINGS),
         "expressions": len(tool.EXPRESSIONS),
+        "subgroup_answers": 24,
     }
     assert len(tool.SELECTORS) == 12
     assert len(tool.FLAG_SPELLINGS) == 5
     assert len(tool.EXPRESSIONS) == 21
-    assert len(result) == 19
+    assert len(result) == 20
     assert len(tool.MALFORMED_RECORDS) == 25
     assert all(len(digest) == 64 for _, digest in result.values())
     assert tool.dump(corpus) == result

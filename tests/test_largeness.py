@@ -288,6 +288,67 @@ def test_scan_caches_hold_little_memory():
     assert held < SCAN_HELD_BOUND, f"{held / 1024:.0f} KiB held"
 
 
+# The claims benchmark's selectors, and the Python memory their sweep leaves
+# on the caches of the same 31 groups, built fresh, once the reports are
+# dropped: about 411 KiB when each radical, center and invariant was also
+# memoized under a key of its own, about 386 KiB with the lattice record as
+# the one memo.  The bound keeps the scan test's headroom over the former.
+BENCH_CLAIMS = ("D", "E", "F:2,3", "G:2", "GD:2", "A:nilpotent")
+CLAIMS_HELD_BOUND = 720 * 1024
+
+
+def test_claims_caches_hold_little_memory():
+    groups = ls.reference_corpus()[::8]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        outcomes = [ls.verify_selector(G, s).outcome for G in groups for s in BENCH_CLAIMS]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 31 * len(BENCH_CLAIMS)
+    assert held < CLAIMS_HELD_BOUND, f"{held / 1024:.0f} KiB held"
+
+
+# every kind of key a group's _cache may hold: its own conjugacy classes,
+# lattice record and normal subgroups, and those of its subgroups, its
+# element orders, and the quotient and induced groups it built
+CACHE_KINDS = {
+    "conjugacy_classes",
+    "normal_lattice",
+    "normal_subgroups",
+    "element_orders",
+    "quotient",
+    "induced",
+}
+SAMPLE_CLAIMS = ("A:nilpotent", "B", "C:supersoluble", "D", "E", "F:2,3", "G:2", "GD:2", "H")
+
+
+def test_caches_hold_only_the_record_and_what_it_cannot_answer(corpus):
+    groups = [ls.FiniteGroup(G.table, name=G.name, trusted=True) for G in corpus]
+    for G in groups:
+        for selector in SAMPLE_CLAIMS:
+            try:
+                ls.verify_selector(G, selector)
+            except ls.GroupError:  # B's cover can exceed the order cap
+                pass
+    ls.scan_exceptional(groups)
+    kinds, seen, stack = set(), set(), list(groups)
+    while stack:
+        G = stack.pop()
+        if id(G) in seen:
+            continue
+        seen.add(id(G))
+        for key, value in G._cache.items():
+            kinds.add(key if isinstance(key, str) else key[0])
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            stack.extend(v for v in items if isinstance(v, ls.FiniteGroup))
+    assert len(seen) > len(groups)  # induced groups were walked too
+    assert kinds <= CACHE_KINDS, kinds - CACHE_KINDS
+
+
 # -- the constructive witness (B) ---------------------------------------------------
 
 

@@ -8,8 +8,8 @@ the checkout's own src/ on the path:
 Two trees compute the same outputs when this prints the same lines for
 both; to compare a change with its parent, run it in each (for example in a
 `git archive` of the parent, with this file copied into its tools/).  The
-first eighteen families are each hashed over all 243 groups in corpus
-order; the last one reads no corpus:
+families other than expressions are each hashed over all 243 groups in
+corpus order; expressions reads no corpus:
 
     tables             order, table bytes, labels and display_name of G
                        (element order included, since indices follow it)
@@ -78,6 +78,14 @@ order; the last one reads no corpus:
                        EXPRESSIONS: every catalog family at sample
                        arguments, nested direct and central products, and
                        malformed expressions
+    subgroup_answers   for G, each normal subgroup of G and the subgroup
+                       generated by each two consecutive conjugacy class
+                       representatives of G: center, the minimal and
+                       maximal normal subgroups, fitting_subgroup,
+                       generalized_fitting_subgroup, components,
+                       subnormal_subgroups, nilpotency_class,
+                       derived_length and the composition factor orders,
+                       each asked twice in a row and both answers hashed
 
 Each line reads: family, number of values hashed, sha256.
 """
@@ -135,6 +143,7 @@ FAMILIES = (
     "cover_reports",
     "flag_reports",
     "expressions",
+    "subgroup_answers",
 )
 FLAG_SPELLINGS = (
     ("--theorem", "A", "--class-key", "nilpotent"),
@@ -346,6 +355,24 @@ def _chief_questions(G, normals) -> list:
     ]
 
 
+def _subgroup_answers(x) -> list:
+    # each question twice, so a second answer read off a lattice record is
+    # hashed beside the first
+    extremes = () if x.order == 1 else (ls.minimal_normal_subgroups, ls.maximal_normal_subgroups)
+    questions = (
+        lambda x: ls.center(x).elements,
+        *(lambda x, f=f: [N.elements for N in f(x)] for f in extremes),
+        lambda x: _radical(ls.fitting_subgroup(x)),
+        lambda x: _radical(ls.generalized_fitting_subgroup(x)),
+        lambda x: [T.elements for T in ls.components(x)],
+        lambda x: [S.elements for S in ls.subnormal_subgroups(x)],
+        ls.nilpotency_class,
+        ls.derived_length,
+        lambda x: [F.order for F in ls.composition_factors(x)],
+    )
+    return [[ask(x), ask(x)] for ask in questions]
+
+
 def _cover_report(G) -> list | dict:
     try:
         return ls.verify_selector(G, "B").to_dict()
@@ -388,6 +415,8 @@ def dump(corpus) -> dict[str, tuple[int, str]]:
                 put("commutators", lat.members[lat.commutator(i, j)].elements)
         put("info", cli.group_info(G))
         put("cover_reports", _cover_report(G))
+        for x in [G, *normals, *_consecutive_starts(G)]:
+            put("subgroup_answers", _subgroup_answers(x))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         ls.write_corpus(path, corpus)
